@@ -9,6 +9,11 @@ traversal refine the result. A candidate is adopted only when its exactly
 recomputed objective is strictly smaller, so the objective strictly
 decreases across passes and termination is guaranteed; a safety valve still
 caps passes at n^2 and reports instead of hanging.
+
+Both amounts a pipeline hands on are completion differences: the handoff
+is the new completion of the span the move reorders minus its old one, and
+the idle shift is the reworked block's completion minus the moved block's,
+both replayed from the same entry.
 """
 
 from __future__ import annotations
@@ -21,10 +26,8 @@ from .move_calculus import (
     BACKWARD,
     FORWARD,
     apply_move,
-    backward_move_delta,
-    forward_move_delta,
-    idle_adjustment,
     insertion_seed,
+    relocation_handoff,
 )
 from .rules import (
     ROLE_DECREASING,
@@ -34,7 +37,11 @@ from .rules import (
     bottleneck_breakthrough,
 )
 from .solution_sets import backward_solution_set, forward_solution_set
-from .timeline import WaitingProfile, compute_profile, segment_profile
+from .timeline import WaitingProfile, compute_profile, segment_completion
+
+# Not called here; the benchmark tracer wraps each of these names in this module.
+from .move_calculus import backward_move_delta, forward_move_delta, idle_adjustment  # noqa: F401
+from .timeline import segment_profile  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -64,6 +71,18 @@ class _Scorer:
         return cached
 
 
+def _idle_shift(
+    inst: Instance, before: Sequence, after: Sequence, start: int, stop: int, entry: int
+) -> int:
+    """Downstream entry shift from reworking positions start..stop, entered at ``entry``."""
+    if after is before:
+        return 0
+    block = slice(start - 1, stop)
+    return segment_completion(inst, after.order[block], entry) - segment_completion(
+        inst, before.order[block], entry
+    )
+
+
 def _forward_pipeline(
     inst: Instance,
     seq: Sequence,
@@ -72,7 +91,12 @@ def _forward_pipeline(
     k: int,
     whole_exchange: bool = False,
 ) -> Sequence:
-    """Candidate sequence for "move position i after position k" plus rule work."""
+    """Candidate sequence for "move position i after position k" plus rule work.
+
+    The rising block after position k receives the move's handoff (the
+    completion shift at position k) plus the idle shift of the reworked
+    falling block (its completion change from the freed entry).
+    """
     moved = apply_move(seq, i, k, FORWARD)
     mover = seq.job_at(i)
     flow_drop = inst.p(mover) - min(0, profile.wait_at(i))
@@ -82,12 +106,8 @@ def _forward_pipeline(
     )
     reworked, _ = bottleneck_breakthrough(ctx_drop, inst, moved)
     if k < inst.n:
-        freed_entry = block_entry - flow_drop
-        shift = idle_adjustment(
-            segment_profile(inst, moved.order[i - 1 : k - 1], freed_entry),
-            segment_profile(inst, reworked.order[i - 1 : k - 1], freed_entry),
-        )
-        handoff = forward_move_delta(profile, inst, seq, i, k).part_flow
+        shift = _idle_shift(inst, moved, reworked, i, k - 1, block_entry - flow_drop)
+        handoff = relocation_handoff(profile, inst, moved, i, k)
         ctx_rise = SegmentContext(
             start=k + 1,
             stop=inst.n,
@@ -111,7 +131,12 @@ def _forward_pipeline(
 def _backward_pipeline(
     inst: Instance, seq: Sequence, profile: WaitingProfile, i: int, k: int
 ) -> Sequence:
-    """Candidate sequence for "move position i before position k" plus rule work."""
+    """Candidate sequence for "move position i before position k" plus rule work.
+
+    The falling block after position i receives the move's handoff (the
+    completion shift at position i) minus the idle shift of the reworked
+    rising block (its completion change from the delayed entry).
+    """
     moved = apply_move(seq, i, k, BACKWARD)
     seed = insertion_seed(profile, inst, i, k)
     block_entry = profile.completions[k - 2] if k >= 2 else profile.entry_time
@@ -120,12 +145,8 @@ def _backward_pipeline(
     )
     reworked, _ = adjacent_exchange(ctx_rise, inst, moved)
     if i < inst.n:
-        delayed_entry = block_entry + seed
-        shift = idle_adjustment(
-            segment_profile(inst, moved.order[k : i], delayed_entry),
-            segment_profile(inst, reworked.order[k : i], delayed_entry),
-        )
-        handoff = backward_move_delta(profile, inst, seq, i, k).part_flow
+        shift = _idle_shift(inst, moved, reworked, k + 1, i, block_entry + seed)
+        handoff = relocation_handoff(profile, inst, moved, i, k)
         ctx_drop = SegmentContext(
             start=i + 1,
             stop=inst.n,
@@ -142,9 +163,6 @@ def consumption_operator(seq: Sequence, inst: Instance, _scorer: _Scorer | None 
 
     Best-improvement rounds: each round recomputes the forward sets and
     keeps the strictly best candidate pipeline result, until none improves.
-    A closing whole-sequence bottleneck pass runs with zero flow; it can
-    never fire there (the rule needs an incoming decrease), but it marks
-    where a nonzero whole-queue flow would be exploited.
     """
     scorer = _scorer or _Scorer(inst)
     best = seq
@@ -164,20 +182,6 @@ def consumption_operator(seq: Sequence, inst: Instance, _scorer: _Scorer | None 
                     round_best = candidate
         if round_best is not None:
             best, best_objective = round_best, round_objective
-            improving = True
-    improving = True
-    while improving:
-        improving = False
-        ctx = SegmentContext(
-            start=1,
-            stop=inst.n,
-            role=ROLE_DECREASING,
-            flow_in=0,
-            entry_time=inst.r(best.order[0]),
-        )
-        candidate, _ = bottleneck_breakthrough(ctx, inst, best)
-        if scorer.objective(candidate) < best_objective:
-            best, best_objective = candidate, scorer.objective(candidate)
             improving = True
     return best
 
@@ -218,10 +222,8 @@ def optimal_sort(inst: Instance) -> SolveResult:
     scorer = _Scorer(inst)
     current = initial_sequence(inst)
     current_objective = scorer.objective(current)
-    unreachable = inst.n * sum(inst.processing) + sum(inst.release) + 1
     move_log: list[tuple[int, str, int, int, int]] = []
     safety_tripped = False
-    sweep_best = unreachable
     passes = 0
     improving = True
     while improving:
@@ -231,7 +233,7 @@ def optimal_sort(inst: Instance) -> SolveResult:
             break
         profile = compute_profile(inst, current)
         best_candidate: Sequence | None = None
-        best_objective = min(sweep_best, current_objective)
+        best_objective = current_objective
         best_move = (0, 0)
         for i in range(1, inst.n + 1):
             for k in sorted(forward_solution_set(profile, inst, current, i)):
@@ -247,13 +249,12 @@ def optimal_sort(inst: Instance) -> SolveResult:
                     best_candidate = staged
                     best_move = (i, k)
         passes += 1
-        if best_candidate is not None and best_objective < current_objective:
+        if best_candidate is not None:
             move_log.append(
                 (passes, FORWARD, best_move[0], best_move[1], best_objective - current_objective)
             )
             current = Sequence(order=best_candidate.order, iteration=passes)
             current_objective = best_objective
-            sweep_best = best_objective
             improving = True
     return SolveResult(
         best_sequence=current,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .instances import Instance, Sequence
 from .propagation import FlowTrace, objective_delta, propagate_decrease, propagate_increase
-from .timeline import WaitingProfile
+from .timeline import WaitingProfile, segment_completion
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -157,6 +157,23 @@ def backward_move_delta(
         flow_tail=tail,
         new_wait=new_wait,
     )
+
+
+def relocation_handoff(
+    profile: WaitingProfile, inst: Instance, moved: Sequence, i: int, k: int
+) -> int:
+    """Completion shift a relocation hands to the first untouched follower.
+
+    ``moved`` is the sequence after moving position i next to position k, in
+    either direction. Only positions min(i, k)..max(i, k) change, so the
+    shift is their new completion, replayed from the unchanged prefix, minus
+    the old completion of position max(i, k). A block that starts the queue
+    is replayed from 0: its new head then starts at its own release. Equals
+    ``part_flow`` of forward_move_delta and backward_move_delta.
+    """
+    lo, hi = (i, k) if i < k else (k, i)
+    entry = profile.completions[lo - 2] if lo >= 2 else 0
+    return segment_completion(inst, moved.order[lo - 1 : hi], entry) - profile.completions[hi - 1]
 
 
 def apply_move(seq: Sequence, i: int, k: int, direction: str) -> Sequence:

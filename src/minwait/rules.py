@@ -122,12 +122,11 @@ def bottleneck_breakthrough(
     if m <= 1 or flow <= 0:
         return seq, 0
     entry = ctx.entry_time
-    realized_entry = entry - ctx.flow_in
-    initial_cost = segment_cost(inst, tuple(segment), realized_entry)
-
     waits = segment_profile(inst, tuple(segment), entry).waits
     if all(w >= flow for w in waits):
         return seq, 0
+    realized_entry = entry - ctx.flow_in
+    initial_cost = segment_cost(inst, tuple(segment), realized_entry)
 
     scan_from = 0
     while flow > 0:
@@ -141,12 +140,13 @@ def bottleneck_breakthrough(
         best = None
         shifted_entry = entry - flow
         current_cost = segment_cost(inst, tuple(segment), shifted_entry)
+        # idle minus processing over positions bottleneck..g-1, advanced with g
+        passed = 0
         for g in range(bottleneck + 1, m):
+            passed += min(0, waits[g - 1]) - inst.p(segment[g - 1])
             if waits[g] <= 0:
                 continue
-            pulled_wait = waits[g] + sum(
-                min(0, waits[j]) - inst.p(segment[j]) for j in range(bottleneck, g)
-            )
+            pulled_wait = waits[g] + passed
             if pulled_wait <= waits[bottleneck]:
                 continue
             candidate = segment.copy()

@@ -134,11 +134,13 @@ def segment_cost(inst: Instance, order: tuple[int, ...], entry_time: int) -> int
 
 def segment_completion(inst: Instance, order: tuple[int, ...], entry_time: int) -> int:
     """Completion time of the last job of a block started at ``entry_time``."""
+    release = inst.release
+    processing = inst.processing
     prev_completion = entry_time
     for job in order:
-        r = inst.release[job - 1]
+        r = release[job - 1]
         start = prev_completion if prev_completion > r else r
-        prev_completion = start + inst.processing[job - 1]
+        prev_completion = start + processing[job - 1]
     return prev_completion
 
 

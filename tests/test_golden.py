@@ -1,0 +1,95 @@
+"""Golden corpus: exact solver outputs that every hot-path change must reproduce.
+
+Each row pins (best_objective, order, iterations, move_log) of one solve.
+Instances are ``bench_instance(SEED, n, index)`` under one of three release
+regimes: as generated, "dense" (releases scaled by n/12, a crowded queue)
+and "sparse" (releases spread over the total processing time, an idle-rich
+queue). A change that only removes redundant arithmetic leaves every row,
+and the number of pipelines the driver runs, exactly as it was.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+import minwait.driver
+from minwait import Instance, bench_instance, optimal_sort
+
+SEED = 20250816
+
+GOLDEN = {
+    ("generated", 8, 0): (112, (7, 8, 2, 6, 3, 4, 1, 5), 1, ()),
+    ("generated", 9, 0): (214, (4, 2, 1, 3, 5, 6, 9, 7, 8), 2, ((1, "forward", 1, 2, -154),)),
+    ("generated", 10, 0): (
+        211, (7, 10, 4, 9, 1, 8, 3, 6, 2, 5), 2, ((1, "forward", 1, 2, -119),)
+    ),
+    ("generated", 11, 0): (
+        512, (4, 10, 6, 2, 9, 5, 8, 3, 1, 7, 11), 2, ((1, "forward", 1, 2, -71),)
+    ),
+    ("generated", 12, 0): (
+        434, (11, 3, 8, 2, 1, 7, 4, 9, 6, 10, 12, 5), 2, ((1, "forward", 1, 2, -146),)
+    ),
+    ("dense", 8, 0): (214, (7, 8, 6, 3, 4, 2, 1, 5), 2, ((1, "forward", 1, 2, -32),)),
+    ("dense", 9, 0): (245, (4, 2, 1, 5, 3, 6, 9, 7, 8), 2, ((1, "forward", 1, 2, -164),)),
+    ("dense", 10, 0): (340, (7, 10, 9, 4, 2, 8, 3, 6, 5, 1), 2, ((1, "forward", 1, 2, -150),)),
+    ("dense", 11, 0): (
+        541, (4, 10, 6, 2, 9, 5, 8, 1, 3, 7, 11), 2, ((1, "forward", 1, 2, -72),)
+    ),
+    ("sparse", 8, 0): (67, (7, 8, 2, 6, 3, 4, 1, 5), 1, ()),
+    ("sparse", 9, 0): (227, (4, 2, 1, 5, 3, 6, 9, 7, 8), 2, ((1, "forward", 1, 2, -164),)),
+    ("sparse", 10, 0): (102, (7, 10, 4, 1, 9, 2, 8, 3, 6, 5), 2, ((1, "forward", 1, 2, -14),)),
+    ("sparse", 11, 0): (
+        358, (4, 10, 6, 2, 5, 9, 8, 3, 7, 1, 11), 2, ((1, "forward", 1, 2, -58),)
+    ),
+    ("sparse", 12, 0): (
+        196, (11, 3, 8, 2, 1, 7, 9, 12, 4, 10, 6, 5), 2, ((1, "forward", 1, 2, -43),)
+    ),
+    # the few instances whose accepted move is not (1, 2)
+    ("generated", 9, 6): (152, (1, 9, 6, 8, 4, 2, 7, 5, 3), 2, ((1, "forward", 1, 4, -110),)),
+    ("dense", 10, 2): (198, (6, 2, 9, 10, 4, 5, 1, 3, 7, 8), 2, ((1, "forward", 6, 7, -27),)),
+    ("dense", 10, 10): (460, (4, 10, 3, 8, 2, 6, 9, 5, 7, 1), 2, ((1, "forward", 1, 5, -233),)),
+    ("sparse", 10, 9): (195, (1, 7, 3, 8, 5, 9, 2, 6, 4, 10), 2, ((1, "forward", 5, 8, -102),)),
+}
+
+# Pipelines of one solve of bench_instance(SEED, 8, 0), counted by direction.
+PIPELINES = {"forward": 1593, "backward": 337}
+
+
+def golden_instance(regime: str, n: int, index: int) -> Instance:
+    inst = bench_instance(SEED, n, index)
+    if regime == "generated":
+        return inst
+    if regime == "dense":
+        release = tuple(r * n // 12 for r in inst.release)
+    else:
+        total = sum(inst.processing)
+        release = tuple(r * total // 200 for r in inst.release)
+    return Instance(n=n, release=release, processing=inst.processing)
+
+
+def outcome(inst: Instance) -> tuple:
+    result = optimal_sort(inst)
+    assert not result.safety_tripped
+    return (result.best_objective, result.best_sequence.order, result.iterations, result.move_log)
+
+
+def test_golden_reference(reference):
+    assert outcome(reference) == (4, (1, 2, 3, 4, 5), 1, ())
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN), ids=lambda case: "-".join(map(str, case)))
+def test_golden_corpus(case):
+    assert outcome(golden_instance(*case)) == GOLDEN[case]
+
+
+def test_golden_pipeline_counts(monkeypatch):
+    counts = {"forward": 0, "backward": 0}
+    apply_move = minwait.driver.apply_move
+
+    def counting(seq, i, k, direction):
+        counts[direction] += 1
+        return apply_move(seq, i, k, direction)
+
+    monkeypatch.setattr(minwait.driver, "apply_move", counting)
+    outcome(golden_instance("generated", 8, 0))
+    assert counts == PIPELINES

@@ -18,6 +18,7 @@ from minwait import (
     idle_adjustment,
     segment_profile,
 )
+from minwait.move_calculus import relocation_handoff
 
 from conftest import random_instance, random_sequence
 
@@ -63,26 +64,46 @@ def test_forward_backward_same_permutation_agree(reference_state):
     assert fwd.delta_total == bwd.delta_total == 9
 
 
+def _check_every_move(inst, seq):
+    n = inst.n
+    profile = compute_profile(inst, seq)
+    for i in range(1, n + 1):
+        for k in range(i + 1, n + 1):
+            ev = forward_move_delta(profile, inst, seq, i, k)
+            moved = apply_move(seq, i, k, FORWARD)
+            after = compute_profile(inst, moved)
+            assert ev.delta_total == after.objective - profile.objective
+            assert ev.new_wait == after.waits[k - 1]
+            assert ev.delta_total == ev.part_local + ev.part_flow + ev.flow_tail
+            assert relocation_handoff(profile, inst, moved, i, k) == ev.part_flow
+            assert ev.part_flow == after.completions[k - 1] - profile.completions[k - 1]
+        for k in range(1, i):
+            ev = backward_move_delta(profile, inst, seq, i, k)
+            moved = apply_move(seq, i, k, BACKWARD)
+            after = compute_profile(inst, moved)
+            assert ev.delta_total == after.objective - profile.objective
+            assert ev.new_wait == after.waits[k - 1]
+            assert ev.delta_total == ev.part_local + ev.part_flow + ev.flow_tail
+            assert relocation_handoff(profile, inst, moved, i, k) == ev.part_flow
+            assert ev.part_flow == after.completions[i - 1] - profile.completions[i - 1]
+
+
 def test_gold_invariant_exhaustive_random():
     rng = random.Random(404)
     for _ in range(25):
         n = rng.randint(2, 8)
-        inst = random_instance(rng, n)
-        seq = random_sequence(rng, n)
-        profile = compute_profile(inst, seq)
-        for i in range(1, n + 1):
-            for k in range(i + 1, n + 1):
-                ev = forward_move_delta(profile, inst, seq, i, k)
-                after = compute_profile(inst, apply_move(seq, i, k, FORWARD))
-                assert ev.delta_total == after.objective - profile.objective
-                assert ev.new_wait == after.waits[k - 1]
-                assert ev.delta_total == ev.part_local + ev.part_flow + ev.flow_tail
-            for k in range(1, i):
-                ev = backward_move_delta(profile, inst, seq, i, k)
-                after = compute_profile(inst, apply_move(seq, i, k, BACKWARD))
-                assert ev.delta_total == after.objective - profile.objective
-                assert ev.new_wait == after.waits[k - 1]
-                assert ev.delta_total == ev.part_local + ev.part_flow + ev.flow_tail
+        _check_every_move(random_instance(rng, n), random_sequence(rng, n))
+    # crowded queues (releases packed near 0, the machine rarely idles) and
+    # idle-rich ones (releases spread far beyond the total processing time)
+    for spread, count in ((5, 20), (150, 20)):
+        for _ in range(count):
+            n = rng.randint(2, 8)
+            inst = Instance(
+                n=n,
+                release=tuple(rng.randint(0, spread * n) for _ in range(n)),
+                processing=tuple(rng.randint(1, 50) for _ in range(n)),
+            )
+            _check_every_move(inst, random_sequence(rng, n))
 
 
 def test_adjacent_moves_mirror():
