@@ -14,6 +14,21 @@ Both amounts a pipeline hands on are completion differences: the handoff
 is the new completion of the span the move reorders minus its old one, and
 the idle shift is the reworked block's completion minus the moved block's,
 both replayed from the same entry.
+
+One private cache lives for the duration of a solve and serves three kinds
+of pure results, each keyed by exact integers so that a hit returns what a
+recomputation would: the objective of an order; the solution space of an
+order (its profile, its sorted forward sets, and, separately, its backward
+sets); and the outcome of a block rule, keyed by the role, the block's jobs,
+its entry time and the flow it receives, which is everything a rule reads.
+Inside one solve most rule calls and solution-set computations repeat
+exactly, because the nested searches revisit the same incumbents and the
+same blocks. The cache stops there on purpose: every pipeline still applies
+its move, computes its handoff and is scored, in the same order as without
+the cache, so the solve visits the same candidates, logs the same moves and
+runs the same number of pipelines. Memoizing whole pipeline inputs would
+skip pipelines and change those counts. The cache is dropped when the
+solve returns.
 """
 
 from __future__ import annotations
@@ -56,19 +71,83 @@ class SolveResult:
     safety_tripped: bool
 
 
-class _Scorer:
-    """Per-solve memo of exact objectives keyed by order."""
+class _SolveCache:
+    """Per-solve memo of objectives, solution spaces and block-rule results."""
 
     def __init__(self, inst: Instance) -> None:
         self.inst = inst
-        self._memo: dict[tuple[int, ...], int] = {}
+        self._objectives: dict[tuple[int, ...], int] = {}
+        self._profiles: dict[tuple[int, ...], WaitingProfile] = {}
+        self._forward: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+        self._backward: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+        # (role, block jobs, entry_time, flow_in) -> reworked block, None if unchanged
+        self._blocks: dict[tuple[str, tuple[int, ...], int, int], tuple[int, ...] | None] = {}
 
     def objective(self, seq: Sequence) -> int:
-        cached = self._memo.get(seq.order)
+        cached = self._objectives.get(seq.order)
         if cached is None:
             cached = compute_profile(self.inst, seq).objective
-            self._memo[seq.order] = cached
+            self._objectives[seq.order] = cached
         return cached
+
+    def _profile(self, seq: Sequence) -> WaitingProfile:
+        profile = self._profiles.get(seq.order)
+        if profile is None:
+            profile = compute_profile(self.inst, seq)
+            self._profiles[seq.order] = profile
+        return profile
+
+    def forward_space(
+        self, seq: Sequence
+    ) -> tuple[WaitingProfile, tuple[tuple[int, ...], ...]]:
+        """Profile of ``seq`` and the ascending forward set of each position (row i-1)."""
+        profile = self._profile(seq)
+        anchors = self._forward.get(seq.order)
+        if anchors is None:
+            anchors = tuple(
+                tuple(sorted(forward_solution_set(profile, self.inst, seq, i)))
+                for i in range(1, self.inst.n + 1)
+            )
+            self._forward[seq.order] = anchors
+        return profile, anchors
+
+    def backward_space(
+        self, seq: Sequence
+    ) -> tuple[WaitingProfile, tuple[tuple[int, ...], ...]]:
+        """Profile of ``seq`` and the descending backward set of each position (row i-1)."""
+        profile = self._profile(seq)
+        targets = self._backward.get(seq.order)
+        if targets is None:
+            targets = tuple(
+                tuple(sorted(backward_solution_set(profile, self.inst, seq, i), reverse=True))
+                for i in range(1, self.inst.n + 1)
+            )
+            self._backward[seq.order] = targets
+        return profile, targets
+
+    def rework(
+        self, seq: Sequence, start: int, stop: int, role: str, flow_in: int, entry_time: int
+    ) -> Sequence:
+        """``seq`` with positions start..stop reworked by the rule for ``role``."""
+        jobs = seq.order[start - 1 : stop]
+        key = (role, jobs, entry_time, flow_in)
+        try:
+            block = self._blocks[key]
+        except KeyError:
+            ctx = SegmentContext(
+                start=start, stop=stop, role=role, flow_in=flow_in, entry_time=entry_time
+            )
+            if role == ROLE_DECREASING:
+                reworked, _ = bottleneck_breakthrough(ctx, self.inst, seq)
+            else:
+                reworked, _ = adjacent_exchange(ctx, self.inst, seq)
+            self._blocks[key] = None if reworked is seq else reworked.order[start - 1 : stop]
+            return reworked
+        if block is None:
+            return seq
+        return Sequence(
+            order=seq.order[: start - 1] + block + seq.order[stop:], iteration=seq.iteration
+        )
 
 
 def _idle_shift(
@@ -84,7 +163,7 @@ def _idle_shift(
 
 
 def _forward_pipeline(
-    inst: Instance,
+    cache: _SolveCache,
     seq: Sequence,
     profile: WaitingProfile,
     i: int,
@@ -97,39 +176,30 @@ def _forward_pipeline(
     completion shift at position k) plus the idle shift of the reworked
     falling block (its completion change from the freed entry).
     """
+    inst = cache.inst
     moved = apply_move(seq, i, k, FORWARD)
     mover = seq.job_at(i)
     flow_drop = inst.p(mover) - min(0, profile.wait_at(i))
     block_entry = profile.completions[i - 1]
-    ctx_drop = SegmentContext(
-        start=i, stop=k - 1, role=ROLE_DECREASING, flow_in=flow_drop, entry_time=block_entry
-    )
-    reworked, _ = bottleneck_breakthrough(ctx_drop, inst, moved)
+    reworked = cache.rework(moved, i, k - 1, ROLE_DECREASING, flow_drop, block_entry)
     if k < inst.n:
         shift = _idle_shift(inst, moved, reworked, i, k - 1, block_entry - flow_drop)
         handoff = relocation_handoff(profile, inst, moved, i, k)
-        ctx_rise = SegmentContext(
-            start=k + 1,
-            stop=inst.n,
-            role=ROLE_INCREASING,
-            flow_in=max(0, handoff + shift),
-            entry_time=profile.completions[k - 1],
+        reworked = cache.rework(
+            reworked,
+            k + 1,
+            inst.n,
+            ROLE_INCREASING,
+            max(0, handoff + shift),
+            profile.completions[k - 1],
         )
-        reworked, _ = adjacent_exchange(ctx_rise, inst, reworked)
     if whole_exchange:
-        ctx_all = SegmentContext(
-            start=1,
-            stop=inst.n,
-            role=ROLE_INCREASING,
-            flow_in=0,
-            entry_time=inst.r(reworked.order[0]),
-        )
-        reworked, _ = adjacent_exchange(ctx_all, inst, reworked)
+        reworked = cache.rework(reworked, 1, inst.n, ROLE_INCREASING, 0, inst.r(reworked.order[0]))
     return reworked
 
 
 def _backward_pipeline(
-    inst: Instance, seq: Sequence, profile: WaitingProfile, i: int, k: int
+    cache: _SolveCache, seq: Sequence, profile: WaitingProfile, i: int, k: int
 ) -> Sequence:
     """Candidate sequence for "move position i before position k" plus rule work.
 
@@ -137,46 +207,47 @@ def _backward_pipeline(
     completion shift at position i) minus the idle shift of the reworked
     rising block (its completion change from the delayed entry).
     """
+    inst = cache.inst
     moved = apply_move(seq, i, k, BACKWARD)
     seed = insertion_seed(profile, inst, i, k)
     block_entry = profile.completions[k - 2] if k >= 2 else profile.entry_time
-    ctx_rise = SegmentContext(
-        start=k + 1, stop=i, role=ROLE_INCREASING, flow_in=seed, entry_time=block_entry
-    )
-    reworked, _ = adjacent_exchange(ctx_rise, inst, moved)
+    reworked = cache.rework(moved, k + 1, i, ROLE_INCREASING, seed, block_entry)
     if i < inst.n:
         shift = _idle_shift(inst, moved, reworked, k + 1, i, block_entry + seed)
         handoff = relocation_handoff(profile, inst, moved, i, k)
-        ctx_drop = SegmentContext(
-            start=i + 1,
-            stop=inst.n,
-            role=ROLE_DECREASING,
-            flow_in=handoff - shift,
-            entry_time=profile.completions[i - 1],
+        reworked = cache.rework(
+            reworked,
+            i + 1,
+            inst.n,
+            ROLE_DECREASING,
+            handoff - shift,
+            profile.completions[i - 1],
         )
-        reworked, _ = bottleneck_breakthrough(ctx_drop, inst, reworked)
     return reworked
 
 
-def consumption_operator(seq: Sequence, inst: Instance, _scorer: _Scorer | None = None) -> Sequence:
+def consumption_operator(
+    seq: Sequence, inst: Instance, _cache: _SolveCache | None = None
+) -> Sequence:
     """Exhaust the forward solution space of a sequence.
 
-    Best-improvement rounds: each round recomputes the forward sets and
-    keeps the strictly best candidate pipeline result, until none improves.
+    Best-improvement rounds: each round takes the forward sets of the
+    incumbent and keeps the strictly best candidate pipeline result, until
+    none improves.
     """
-    scorer = _scorer or _Scorer(inst)
+    cache = _cache or _SolveCache(inst)
     best = seq
-    best_objective = scorer.objective(seq)
+    best_objective = cache.objective(seq)
     improving = True
     while improving:
         improving = False
-        profile = compute_profile(inst, best)
+        profile, anchors = cache.forward_space(best)
         round_best: Sequence | None = None
         round_objective = best_objective
-        for i in range(1, inst.n + 1):
-            for k in sorted(forward_solution_set(profile, inst, best, i)):
-                candidate = _forward_pipeline(inst, best, profile, i, k)
-                objective = scorer.objective(candidate)
+        for i, row in enumerate(anchors, start=1):
+            for k in row:
+                candidate = _forward_pipeline(cache, best, profile, i, k)
+                objective = cache.objective(candidate)
                 if objective < round_objective:
                     round_objective = objective
                     round_best = candidate
@@ -186,21 +257,23 @@ def consumption_operator(seq: Sequence, inst: Instance, _scorer: _Scorer | None 
     return best
 
 
-def backward_traversal(seq: Sequence, inst: Instance, _scorer: _Scorer | None = None) -> Sequence:
+def backward_traversal(
+    seq: Sequence, inst: Instance, _cache: _SolveCache | None = None
+) -> Sequence:
     """Exhaust the backward solution space of a sequence, end to start."""
-    scorer = _scorer or _Scorer(inst)
+    cache = _cache or _SolveCache(inst)
     best = seq
-    best_objective = scorer.objective(seq)
+    best_objective = cache.objective(seq)
     improving = True
     while improving:
         improving = False
-        profile = compute_profile(inst, best)
+        profile, targets = cache.backward_space(best)
         round_best: Sequence | None = None
         round_objective = best_objective
         for i in range(inst.n, 0, -1):
-            for k in sorted(backward_solution_set(profile, inst, best, i), reverse=True):
-                candidate = _backward_pipeline(inst, best, profile, i, k)
-                objective = scorer.objective(candidate)
+            for k in targets[i - 1]:
+                candidate = _backward_pipeline(cache, best, profile, i, k)
+                objective = cache.objective(candidate)
                 if objective < round_objective:
                     round_objective = objective
                     round_best = candidate
@@ -219,9 +292,9 @@ def optimal_sort(inst: Instance) -> SolveResult:
     runaway into a reported anomaly instead of a hang.
     """
     started = time.perf_counter()
-    scorer = _Scorer(inst)
+    cache = _SolveCache(inst)
     current = initial_sequence(inst)
-    current_objective = scorer.objective(current)
+    current_objective = cache.objective(current)
     move_log: list[tuple[int, str, int, int, int]] = []
     safety_tripped = False
     passes = 0
@@ -231,19 +304,19 @@ def optimal_sort(inst: Instance) -> SolveResult:
         if passes >= inst.n * inst.n:
             safety_tripped = True
             break
-        profile = compute_profile(inst, current)
+        profile, anchors = cache.forward_space(current)
         best_candidate: Sequence | None = None
         best_objective = current_objective
         best_move = (0, 0)
-        for i in range(1, inst.n + 1):
-            for k in sorted(forward_solution_set(profile, inst, current, i)):
+        for i, row in enumerate(anchors, start=1):
+            for k in row:
                 staged = _forward_pipeline(
-                    inst, current, profile, i, k, whole_exchange=(k == inst.n and passes == 0)
+                    cache, current, profile, i, k, whole_exchange=(k == inst.n and passes == 0)
                 )
-                staged = consumption_operator(staged, inst, scorer)
-                staged = backward_traversal(staged, inst, scorer)
-                staged = consumption_operator(staged, inst, scorer)
-                objective = scorer.objective(staged)
+                staged = consumption_operator(staged, inst, cache)
+                staged = backward_traversal(staged, inst, cache)
+                staged = consumption_operator(staged, inst, cache)
+                objective = cache.objective(staged)
                 if objective < best_objective:
                     best_objective = objective
                     best_candidate = staged

@@ -68,7 +68,8 @@ def adjacent_exchange(ctx: SegmentContext, inst: Instance, seq: Sequence) -> tup
         raise ValueError(f"adjacent exchange needs role {ROLE_INCREASING}, got {ctx.role}")
     if ctx.flow_in < 0:
         raise ValueError(f"increasing flow must be nonnegative, got {ctx.flow_in}")
-    segment = list(ctx.jobs(seq))
+    jobs = ctx.jobs(seq)
+    segment = list(jobs)
     if len(segment) <= 1:
         return seq, 0
     realized_entry = ctx.entry_time + ctx.flow_in
@@ -88,6 +89,8 @@ def adjacent_exchange(ctx: SegmentContext, inst: Instance, seq: Sequence) -> tup
                 segment = candidate
                 cost = candidate_cost
                 swapped = True
+    if tuple(segment) == jobs:
+        return seq, 0
     return _splice(seq, ctx, segment), cost - initial_cost
 
 
@@ -112,11 +115,13 @@ def bottleneck_breakthrough(
     post-move wait stays above the bottleneck's; the cheapest strictly
     paying one (cost at the flow-shifted entry, ties by processing time
     then position) is applied. When none pays, the flow shrinks to the
-    bottleneck's truncated wait and the scan moves on.
+    bottleneck's truncated wait and the scan moves on. Returns ``seq``
+    itself, with change 0, when the block's order did not change.
     """
     if ctx.role != ROLE_DECREASING:
         raise ValueError(f"bottleneck breakthrough needs role {ROLE_DECREASING}, got {ctx.role}")
-    segment = list(ctx.jobs(seq))
+    jobs = ctx.jobs(seq)
+    segment = list(jobs)
     m = len(segment)
     flow = ctx.flow_in
     if m <= 1 or flow <= 0:
@@ -165,5 +170,7 @@ def bottleneck_breakthrough(
         else:
             flow = max(0, waits[bottleneck])
             scan_from = bottleneck + 1
+    if tuple(segment) == jobs:
+        return seq, 0
     final_cost = segment_cost(inst, tuple(segment), realized_entry)
     return _splice(seq, ctx, segment), final_cost - initial_cost

@@ -44,6 +44,61 @@ GOLDEN = {
     ("sparse", 12, 0): (
         196, (11, 3, 8, 2, 1, 7, 9, 12, 4, 10, 6, 5), 2, ((1, "forward", 1, 2, -43),)
     ),
+    # n=13..16, two or more per regime
+    ("generated", 13, 0): (
+        428, (9, 4, 2, 10, 5, 11, 6, 13, 12, 1, 8, 7, 3), 2, ((1, "forward", 1, 2, -419),)
+    ),
+    ("generated", 14, 0): (
+        748, (6, 7, 9, 1, 14, 10, 13, 5, 11, 3, 8, 2, 4, 12), 2, ((1, "forward", 1, 2, -268),)
+    ),
+    ("generated", 15, 0): (
+        1405,
+        (12, 3, 7, 4, 5, 13, 14, 15, 1, 9, 11, 8, 10, 6, 2),
+        2,
+        ((1, "forward", 1, 11, -916),),
+    ),
+    ("generated", 16, 0): (
+        1034,
+        (10, 7, 11, 13, 5, 9, 15, 14, 2, 3, 6, 8, 12, 16, 1, 4),
+        2,
+        ((1, "forward", 1, 2, -709),),
+    ),
+    ("dense", 13, 0): (
+        428, (9, 4, 2, 10, 5, 7, 6, 11, 12, 1, 8, 13, 3), 2, ((1, "forward", 1, 2, -355),)
+    ),
+    ("dense", 14, 0): (
+        692, (6, 7, 9, 2, 14, 10, 13, 5, 1, 11, 3, 8, 4, 12), 2, ((1, "forward", 1, 2, -209),)
+    ),
+    ("dense", 15, 0): (
+        1217,
+        (12, 3, 4, 7, 15, 14, 5, 13, 1, 11, 9, 8, 10, 6, 2),
+        2,
+        ((1, "forward", 1, 7, -863),),
+    ),
+    ("dense", 16, 0): (
+        811,
+        (10, 11, 7, 5, 4, 15, 9, 3, 14, 12, 2, 6, 8, 13, 16, 1),
+        2,
+        ((1, "forward", 1, 2, -493),),
+    ),
+    ("sparse", 13, 0): (
+        368, (9, 4, 2, 10, 5, 7, 13, 6, 11, 12, 1, 8, 3), 2, ((1, "forward", 1, 6, -257),)
+    ),
+    ("sparse", 14, 0): (
+        342, (6, 7, 2, 9, 14, 10, 5, 1, 13, 3, 11, 8, 4, 12), 2, ((1, "forward", 1, 2, -137),)
+    ),
+    ("sparse", 15, 0): (
+        742,
+        (12, 3, 8, 4, 7, 14, 15, 5, 1, 13, 11, 10, 2, 9, 6),
+        2,
+        ((1, "forward", 1, 7, -509),),
+    ),
+    ("sparse", 16, 0): (
+        424,
+        (10, 11, 7, 5, 13, 4, 15, 3, 9, 16, 14, 2, 12, 8, 6, 1),
+        2,
+        ((1, "forward", 1, 2, -243),),
+    ),
     # the few instances whose accepted move is not (1, 2)
     ("generated", 9, 6): (152, (1, 9, 6, 8, 4, 2, 7, 5, 3), 2, ((1, "forward", 1, 4, -110),)),
     ("dense", 10, 2): (198, (6, 2, 9, 10, 4, 5, 1, 3, 7, 8), 2, ((1, "forward", 6, 7, -27),)),
@@ -54,6 +109,9 @@ GOLDEN = {
 # Pipelines of one solve of bench_instance(SEED, 8, 0), counted by direction.
 PIPELINES = {"forward": 1593, "backward": 337}
 
+# The same for bench_instance(SEED, 16, 0), the benchmark's pinned instance:
+# its golden row holds the one accepted move.
+PINNED_PIPELINES = {"forward": 13219, "backward": 6123}
 
 def golden_instance(regime: str, n: int, index: int) -> Instance:
     inst = bench_instance(SEED, n, index)
@@ -82,7 +140,8 @@ def test_golden_corpus(case):
     assert outcome(golden_instance(*case)) == GOLDEN[case]
 
 
-def test_golden_pipeline_counts(monkeypatch):
+def pipeline_counts(monkeypatch, case: tuple) -> dict[str, int]:
+    """Solve a golden case, check its row, and count its pipelines by direction."""
     counts = {"forward": 0, "backward": 0}
     apply_move = minwait.driver.apply_move
 
@@ -91,5 +150,14 @@ def test_golden_pipeline_counts(monkeypatch):
         return apply_move(seq, i, k, direction)
 
     monkeypatch.setattr(minwait.driver, "apply_move", counting)
-    outcome(golden_instance("generated", 8, 0))
-    assert counts == PIPELINES
+    assert outcome(golden_instance(*case)) == GOLDEN[case]
+    return counts
+
+
+def test_golden_pipeline_counts(monkeypatch):
+    assert pipeline_counts(monkeypatch, ("generated", 8, 0)) == PIPELINES
+
+
+def test_golden_pinned_benchmark_instance(monkeypatch):
+    assert pipeline_counts(monkeypatch, ("generated", 16, 0)) == PINNED_PIPELINES
+    assert len(GOLDEN[("generated", 16, 0)][3]) == 1

@@ -158,3 +158,78 @@ def test_export_deterministic(reference):
     rng = random.Random(64)
     inst = generate_instance(7, rng.getrandbits(64))
     assert export_milp(inst) == export_milp(inst)
+
+
+def _linear_terms(tokens: list[str]) -> dict[str, int]:
+    """Coefficient of each variable in an LP-format expression such as 'S_1 - 47 x_1_2'."""
+    terms: dict[str, int] = {}
+    sign, scale = 1, 1
+    for token in tokens:
+        if token in ("+", "-"):
+            sign = -1 if token == "-" else 1
+        elif token.lstrip("-").isdigit():
+            scale = int(token)
+        else:
+            terms[token] = terms.get(token, 0) + sign * scale
+            sign, scale = 1, 1
+    return terms
+
+
+def solve_lp_text(text: str) -> float:
+    """Parse the text export_milp writes and solve it with scipy's MILP solver (HiGHS)."""
+    optimize = pytest.importorskip("scipy.optimize")
+    objective: dict[str, int] = {}
+    rows: list[tuple[dict[str, int], str, int]] = []
+    lower: dict[str, int] = {}
+    binaries: list[str] = []
+    section = None
+    for line in text.splitlines():
+        if line in ("Minimize", "Subject To", "Bounds", "Binaries", "End"):
+            section = line
+            continue
+        tokens = line.split()
+        if section == "Minimize":
+            objective = _linear_terms(tokens[1:])
+        elif section == "Subject To":
+            rows.append((_linear_terms(tokens[1:-2]), tokens[-2], int(tokens[-1])))
+        elif section == "Bounds":
+            assert tokens[1] == ">="
+            lower[tokens[0]] = int(tokens[2])
+        elif section == "Binaries":
+            binaries.append(tokens[0])
+    names = sorted({name for terms, _, _ in rows for name in terms} | set(objective))
+    column = {name: j for j, name in enumerate(names)}
+    cost = [objective.get(name, 0) for name in names]
+    matrix = [[terms.get(name, 0) for name in names] for terms, _, _ in rows]
+    row_lower = [rhs if sense == ">=" else -float("inf") for _, sense, rhs in rows]
+    row_upper = [rhs if sense == "<=" else float("inf") for _, sense, rhs in rows]
+    var_lower = [lower.get(name, 0) for name in names]
+    var_upper = [1 if name in binaries else float("inf") for name in names]
+    integrality = [0] * len(names)
+    for name in binaries:
+        integrality[column[name]] = 1
+    result = optimize.milp(
+        cost,
+        constraints=optimize.LinearConstraint(matrix, row_lower, row_upper),
+        integrality=integrality,
+        bounds=optimize.Bounds(var_lower, var_upper),
+    )
+    assert result.success, result.message
+    return result.fun
+
+
+def test_export_round_trip_reference(reference):
+    assert solve_lp_text(export_milp(reference)) == pytest.approx(4, abs=1e-6)
+
+
+def test_export_round_trip_matches_brute_force():
+    rng = random.Random(65)
+    for n in (2, 3, 4, 5, 6, 6):
+        # releases within a few processing times, so most optima are nonzero
+        inst = Instance(
+            n=n,
+            release=tuple(rng.randint(0, 40) for _ in range(n)),
+            processing=tuple(rng.randint(1, 20) for _ in range(n)),
+        )
+        optimum = brute_force_optimum(inst).objective
+        assert solve_lp_text(export_milp(inst)) == pytest.approx(optimum, abs=1e-6), inst

@@ -214,3 +214,23 @@ def test_exchange_respects_range_inside_sequence():
     out, _ = adjacent_exchange(ctx, inst, seq)
     assert out.order[3] == 4
     assert sorted(out.order[:3]) == [1, 2, 3]
+
+
+def test_rules_return_their_input_when_the_block_is_unchanged():
+    from minwait import segment_cost
+
+    # the longer job leads, but swapping strands it behind a late release
+    inst = Instance(n=3, release=(0, 100, 0), processing=(5, 1, 2))
+    seq = Sequence(order=(3, 1, 2), iteration=4)
+    ctx = SegmentContext(start=2, stop=3, role=ROLE_INCREASING, flow_in=0, entry_time=2)
+    assert segment_cost(inst, (2, 1), 2) > segment_cost(inst, (1, 2), 2)
+    out, change = adjacent_exchange(ctx, inst, seq)
+    assert out is seq and change == 0
+
+    # position 2 is a bottleneck for a flow of 50, but the only later job idles
+    inst = Instance(n=3, release=(20, 104, 200), processing=(5, 30, 3))
+    seq = Sequence(order=(1, 2, 3), iteration=4)
+    assert segment_profile(inst, seq.order, 100).waits == (80, 1, -65)
+    ctx = SegmentContext(start=1, stop=3, role=ROLE_DECREASING, flow_in=50, entry_time=100)
+    out, change = bottleneck_breakthrough(ctx, inst, seq)
+    assert out is seq and change == 0
