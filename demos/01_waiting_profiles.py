@@ -5,7 +5,7 @@ goes idle for 8 units; that idle shows up as its negative wait, and the
 objective only counts the positive part.
 """
 
-from minwait import Sequence, compute_profile, makespan, parse_instance, total_waiting
+from minwait import Sequence, compute_profile, parse_instance
 
 INSTANCE = """\
 5
@@ -33,8 +33,8 @@ def main() -> None:
         )
     print()
     print("idle before each position:", [-min(0, w) for w in profile.waits])
-    print("total waiting:", total_waiting(profile))
-    print("makespan:", makespan(profile))
+    print("total waiting:", profile.objective)
+    print("makespan:", profile.completions[-1])
 
     swapped = Sequence(order=(1, 2, 3, 5, 4))
     worse = compute_profile(inst, swapped)

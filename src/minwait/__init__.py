@@ -24,11 +24,9 @@ from .timeline import (
     WaitingProfile,
     classify_adjacent,
     compute_profile,
-    makespan,
     segment_completion,
     segment_cost,
     segment_profile,
-    total_waiting,
 )
 from .propagation import (
     DECREASE,
@@ -54,10 +52,6 @@ from .solution_sets import (
     full_solution_space,
 )
 from .rules import (
-    ROLE_DECREASING,
-    ROLE_INCREASING,
-    ROLE_UNCHANGED,
-    SegmentContext,
     adjacent_exchange,
     bottleneck_breakthrough,
     certify_global,
@@ -99,11 +93,9 @@ __all__ = [
     "LCFS_SWAPPED",
     "classify_adjacent",
     "compute_profile",
-    "makespan",
     "segment_completion",
     "segment_cost",
     "segment_profile",
-    "total_waiting",
     "FlowTrace",
     "DECREASE",
     "INCREASE",
@@ -121,10 +113,6 @@ __all__ = [
     "backward_solution_set",
     "forward_solution_set",
     "full_solution_space",
-    "SegmentContext",
-    "ROLE_UNCHANGED",
-    "ROLE_DECREASING",
-    "ROLE_INCREASING",
     "adjacent_exchange",
     "bottleneck_breakthrough",
     "certify_global",

@@ -2,25 +2,30 @@
 
 One outer pass recomputes the forward solution space of the incumbent and,
 for every candidate relocation, builds a full candidate sequence: apply the
-move, run bottleneck breakthrough on the wait-decreasing block, hand the
-idle shift plus the move's own handoff to the wait-increasing block, run
-adjacent exchange there, then let the consumption operator and the backward
-traversal refine the result. A candidate is adopted only when its exactly
-recomputed objective is strictly smaller, so the objective strictly
-decreases across passes and termination is guaranteed; a safety valve still
-caps passes at n^2 and reports instead of hanging.
+move, run bottleneck breakthrough on the wait-decreasing block (P_D), hand
+the idle shift plus the move's own handoff to the wait-increasing block
+(P_I), run adjacent exchange there, then let the consumption operator and
+the backward traversal refine the result. A candidate is adopted only when
+its exactly recomputed objective is strictly smaller, so the objective
+strictly decreases across passes and termination is guaranteed; a safety
+valve still caps passes at n^2 and reports instead of hanging.
 
-Both amounts a pipeline hands on are completion differences: the handoff
-is the new completion of the span the move reorders minus its old one, and
-the idle shift is the reworked block's completion minus the moved block's,
-both replayed from the same entry.
+The rules see only a block: its jobs, its entry time and the flow it
+receives. The driver slices each block out of the moved sequence and
+splices the reworked jobs back in. Both amounts a pipeline hands on are
+completion differences: the handoff is the new completion of the span the
+move reorders minus its old one, and the idle shift is the reworked block's
+completion minus the moved block's, both replayed from the same entry.
+
+The consumption operator (forward) and the backward traversal share one
+best-improvement loop; only the pipeline and the visit order differ.
 
 One private cache lives for the duration of a solve and serves three kinds
 of pure results, each keyed by exact integers so that a hit returns what a
 recomputation would: the objective of an order; the solution space of an
-order (its profile, its sorted forward sets, and, separately, its backward
-sets); and the outcome of a block rule, keyed by the role, the block's jobs,
-its entry time and the flow it receives, which is everything a rule reads.
+order in one direction (its profile and its sorted solution sets); and the
+reworked block of a rule call, keyed by the rule, the block's jobs, its
+entry time and the flow it receives, which is everything a rule reads.
 Inside one solve most rule calls and solution-set computations repeat
 exactly, because the nested searches revisit the same incumbents and the
 same blocks. The cache stops there on purpose: every pipeline still applies
@@ -34,6 +39,7 @@ solve returns.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .instances import Instance, Sequence, initial_sequence
@@ -44,13 +50,7 @@ from .move_calculus import (
     insertion_seed,
     relocation_handoff,
 )
-from .rules import (
-    ROLE_DECREASING,
-    ROLE_INCREASING,
-    SegmentContext,
-    adjacent_exchange,
-    bottleneck_breakthrough,
-)
+from .rules import adjacent_exchange, bottleneck_breakthrough
 from .solution_sets import backward_solution_set, forward_solution_set
 from .timeline import WaitingProfile, compute_profile, segment_completion
 
@@ -78,10 +78,10 @@ class _SolveCache:
         self.inst = inst
         self._objectives: dict[tuple[int, ...], int] = {}
         self._profiles: dict[tuple[int, ...], WaitingProfile] = {}
-        self._forward: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
-        self._backward: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
-        # (role, block jobs, entry_time, flow_in) -> reworked block, None if unchanged
-        self._blocks: dict[tuple[str, tuple[int, ...], int, int], tuple[int, ...] | None] = {}
+        # (direction, order) -> the solution set of each position, in visit order
+        self._spaces: dict[tuple[str, tuple[int, ...]], tuple[tuple[int, ...], ...]] = {}
+        # (rule, block jobs, entry_time, flow_in) -> reworked block
+        self._blocks: dict[tuple[Callable, tuple[int, ...], int, int], tuple[int, ...]] = {}
 
     def objective(self, seq: Sequence) -> int:
         cached = self._objectives.get(seq.order)
@@ -90,64 +90,43 @@ class _SolveCache:
             self._objectives[seq.order] = cached
         return cached
 
-    def _profile(self, seq: Sequence) -> WaitingProfile:
+    def space(
+        self, seq: Sequence, direction: str
+    ) -> tuple[WaitingProfile, tuple[tuple[int, ...], ...]]:
+        """Profile of ``seq`` and the solution set of each position (row i-1).
+
+        Forward sets are ascending and backward sets descending, the order
+        in which the searches visit them.
+        """
         profile = self._profiles.get(seq.order)
         if profile is None:
             profile = compute_profile(self.inst, seq)
             self._profiles[seq.order] = profile
-        return profile
-
-    def forward_space(
-        self, seq: Sequence
-    ) -> tuple[WaitingProfile, tuple[tuple[int, ...], ...]]:
-        """Profile of ``seq`` and the ascending forward set of each position (row i-1)."""
-        profile = self._profile(seq)
-        anchors = self._forward.get(seq.order)
-        if anchors is None:
-            anchors = tuple(
-                tuple(sorted(forward_solution_set(profile, self.inst, seq, i)))
+        key = (direction, seq.order)
+        rows = self._spaces.get(key)
+        if rows is None:
+            solution_set = forward_solution_set if direction == FORWARD else backward_solution_set
+            descending = direction == BACKWARD
+            rows = tuple(
+                tuple(sorted(solution_set(profile, self.inst, seq, i), reverse=descending))
                 for i in range(1, self.inst.n + 1)
             )
-            self._forward[seq.order] = anchors
-        return profile, anchors
-
-    def backward_space(
-        self, seq: Sequence
-    ) -> tuple[WaitingProfile, tuple[tuple[int, ...], ...]]:
-        """Profile of ``seq`` and the descending backward set of each position (row i-1)."""
-        profile = self._profile(seq)
-        targets = self._backward.get(seq.order)
-        if targets is None:
-            targets = tuple(
-                tuple(sorted(backward_solution_set(profile, self.inst, seq, i), reverse=True))
-                for i in range(1, self.inst.n + 1)
-            )
-            self._backward[seq.order] = targets
-        return profile, targets
+            self._spaces[key] = rows
+        return profile, rows
 
     def rework(
-        self, seq: Sequence, start: int, stop: int, role: str, flow_in: int, entry_time: int
+        self, seq: Sequence, start: int, stop: int, rule: Callable, flow_in: int, entry_time: int
     ) -> Sequence:
-        """``seq`` with positions start..stop reworked by the rule for ``role``."""
+        """``seq`` with positions start..stop reworked by ``rule``; ``seq`` itself if unchanged."""
         jobs = seq.order[start - 1 : stop]
-        key = (role, jobs, entry_time, flow_in)
-        try:
-            block = self._blocks[key]
-        except KeyError:
-            ctx = SegmentContext(
-                start=start, stop=stop, role=role, flow_in=flow_in, entry_time=entry_time
-            )
-            if role == ROLE_DECREASING:
-                reworked, _ = bottleneck_breakthrough(ctx, self.inst, seq)
-            else:
-                reworked, _ = adjacent_exchange(ctx, self.inst, seq)
-            self._blocks[key] = None if reworked is seq else reworked.order[start - 1 : stop]
-            return reworked
+        key = (rule, jobs, entry_time, flow_in)
+        block = self._blocks.get(key)
         if block is None:
+            block, _ = rule(self.inst, jobs, entry_time, flow_in)
+            self._blocks[key] = block
+        if block == jobs:
             return seq
-        return Sequence(
-            order=seq.order[: start - 1] + block + seq.order[stop:], iteration=seq.iteration
-        )
+        return Sequence(order=seq.order[: start - 1] + block + seq.order[stop:])
 
 
 def _idle_shift(
@@ -181,7 +160,7 @@ def _forward_pipeline(
     mover = seq.job_at(i)
     flow_drop = inst.p(mover) - min(0, profile.wait_at(i))
     block_entry = profile.completions[i - 1]
-    reworked = cache.rework(moved, i, k - 1, ROLE_DECREASING, flow_drop, block_entry)
+    reworked = cache.rework(moved, i, k - 1, bottleneck_breakthrough, flow_drop, block_entry)
     if k < inst.n:
         shift = _idle_shift(inst, moved, reworked, i, k - 1, block_entry - flow_drop)
         handoff = relocation_handoff(profile, inst, moved, i, k)
@@ -189,12 +168,14 @@ def _forward_pipeline(
             reworked,
             k + 1,
             inst.n,
-            ROLE_INCREASING,
+            adjacent_exchange,
             max(0, handoff + shift),
             profile.completions[k - 1],
         )
     if whole_exchange:
-        reworked = cache.rework(reworked, 1, inst.n, ROLE_INCREASING, 0, inst.r(reworked.order[0]))
+        reworked = cache.rework(
+            reworked, 1, inst.n, adjacent_exchange, 0, inst.r(reworked.order[0])
+        )
     return reworked
 
 
@@ -211,7 +192,7 @@ def _backward_pipeline(
     moved = apply_move(seq, i, k, BACKWARD)
     seed = insertion_seed(profile, inst, i, k)
     block_entry = profile.completions[k - 2] if k >= 2 else profile.entry_time
-    reworked = cache.rework(moved, k + 1, i, ROLE_INCREASING, seed, block_entry)
+    reworked = cache.rework(moved, k + 1, i, adjacent_exchange, seed, block_entry)
     if i < inst.n:
         shift = _idle_shift(inst, moved, reworked, k + 1, i, block_entry + seed)
         handoff = relocation_handoff(profile, inst, moved, i, k)
@@ -219,68 +200,54 @@ def _backward_pipeline(
             reworked,
             i + 1,
             inst.n,
-            ROLE_DECREASING,
+            bottleneck_breakthrough,
             handoff - shift,
             profile.completions[i - 1],
         )
     return reworked
 
 
-def consumption_operator(
-    seq: Sequence, inst: Instance, _cache: _SolveCache | None = None
-) -> Sequence:
-    """Exhaust the forward solution space of a sequence.
+def _exhaust(cache: _SolveCache, seq: Sequence, direction: str) -> Sequence:
+    """Best-improvement rounds over the solution space of one direction.
 
-    Best-improvement rounds: each round takes the forward sets of the
-    incumbent and keeps the strictly best candidate pipeline result, until
-    none improves.
+    Each round takes the solution space of the incumbent, runs one pipeline
+    per member (forward: positions ascending; backward: end to start) and
+    keeps the first strictly best result, until no round improves.
     """
-    cache = _cache or _SolveCache(inst)
+    if direction == FORWARD:
+        pipeline, positions = _forward_pipeline, range(1, cache.inst.n + 1)
+    else:
+        pipeline, positions = _backward_pipeline, range(cache.inst.n, 0, -1)
     best = seq
     best_objective = cache.objective(seq)
-    improving = True
-    while improving:
-        improving = False
-        profile, anchors = cache.forward_space(best)
+    while True:
+        profile, rows = cache.space(best, direction)
         round_best: Sequence | None = None
         round_objective = best_objective
-        for i, row in enumerate(anchors, start=1):
-            for k in row:
-                candidate = _forward_pipeline(cache, best, profile, i, k)
+        for i in positions:
+            for k in rows[i - 1]:
+                candidate = pipeline(cache, best, profile, i, k)
                 objective = cache.objective(candidate)
                 if objective < round_objective:
                     round_objective = objective
                     round_best = candidate
-        if round_best is not None:
-            best, best_objective = round_best, round_objective
-            improving = True
-    return best
+        if round_best is None:
+            return best
+        best, best_objective = round_best, round_objective
+
+
+def consumption_operator(
+    seq: Sequence, inst: Instance, _cache: _SolveCache | None = None
+) -> Sequence:
+    """Exhaust the forward solution space of a sequence."""
+    return _exhaust(_cache or _SolveCache(inst), seq, FORWARD)
 
 
 def backward_traversal(
     seq: Sequence, inst: Instance, _cache: _SolveCache | None = None
 ) -> Sequence:
     """Exhaust the backward solution space of a sequence, end to start."""
-    cache = _cache or _SolveCache(inst)
-    best = seq
-    best_objective = cache.objective(seq)
-    improving = True
-    while improving:
-        improving = False
-        profile, targets = cache.backward_space(best)
-        round_best: Sequence | None = None
-        round_objective = best_objective
-        for i in range(inst.n, 0, -1):
-            for k in targets[i - 1]:
-                candidate = _backward_pipeline(cache, best, profile, i, k)
-                objective = cache.objective(candidate)
-                if objective < round_objective:
-                    round_objective = objective
-                    round_best = candidate
-        if round_best is not None:
-            best, best_objective = round_best, round_objective
-            improving = True
-    return best
+    return _exhaust(_cache or _SolveCache(inst), seq, BACKWARD)
 
 
 def optimal_sort(inst: Instance) -> SolveResult:
@@ -304,7 +271,7 @@ def optimal_sort(inst: Instance) -> SolveResult:
         if passes >= inst.n * inst.n:
             safety_tripped = True
             break
-        profile, anchors = cache.forward_space(current)
+        profile, anchors = cache.space(current, FORWARD)
         best_candidate: Sequence | None = None
         best_objective = current_objective
         best_move = (0, 0)
@@ -326,7 +293,7 @@ def optimal_sort(inst: Instance) -> SolveResult:
             move_log.append(
                 (passes, FORWARD, best_move[0], best_move[1], best_objective - current_objective)
             )
-            current = Sequence(order=best_candidate.order, iteration=passes)
+            current = best_candidate
             current_objective = best_objective
             improving = True
     return SolveResult(

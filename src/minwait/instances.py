@@ -59,14 +59,11 @@ class Sequence:
     """A processing order: position k (1-based) holds job ``order[k-1]``."""
 
     order: tuple[int, ...]
-    iteration: int = 0
 
     def __post_init__(self) -> None:
         n = len(self.order)
         if sorted(self.order) != list(range(1, n + 1)):
             raise ValueError(f"order {self.order} is not a permutation of 1..{n}")
-        if self.iteration < 0:
-            raise ValueError("iteration must be nonnegative")
 
     @property
     def n(self) -> int:
@@ -173,6 +170,6 @@ def generate_instance(n: int, seed: int) -> Instance:
 
 
 def initial_sequence(inst: Instance) -> Sequence:
-    """Jobs sorted by non-decreasing release, ties by processing then id; iteration 0."""
+    """Jobs sorted by non-decreasing release, ties by processing then id."""
     order = sorted(range(1, inst.n + 1), key=lambda j: (inst.r(j), inst.p(j), j))
-    return Sequence(order=tuple(order), iteration=0)
+    return Sequence(order=tuple(order))

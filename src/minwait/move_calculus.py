@@ -177,7 +177,7 @@ def relocation_handoff(
 
 
 def apply_move(seq: Sequence, i: int, k: int, direction: str) -> Sequence:
-    """Relocate one job, keeping all other relative orders and the iteration count.
+    """Relocate one job, keeping all other relative orders.
 
     Forward: the job at position i ends up immediately after the job that
     held position k. Backward: immediately before the job that held
@@ -195,7 +195,7 @@ def apply_move(seq: Sequence, i: int, k: int, direction: str) -> Sequence:
     order = list(seq.order)
     job = order.pop(i - 1)
     order.insert(k - 1, job)
-    return Sequence(order=tuple(order), iteration=seq.iteration)
+    return Sequence(order=tuple(order))
 
 
 def idle_adjustment(before: WaitingProfile, after: WaitingProfile) -> int:

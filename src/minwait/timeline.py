@@ -144,16 +144,6 @@ def segment_completion(inst: Instance, order: tuple[int, ...], entry_time: int) 
     return prev_completion
 
 
-def total_waiting(profile: WaitingProfile) -> int:
-    """Objective value: sum over positions of max(0, wait)."""
-    return profile.objective
-
-
-def makespan(profile: WaitingProfile) -> int:
-    """Completion time of the last position."""
-    return profile.completions[-1]
-
-
 FCFS_CONSISTENT = "fcfs-consistent"
 LCFS_SWAPPED = "lcfs-swapped"
 

@@ -3,6 +3,8 @@ from __future__ import annotations
 import itertools
 import random
 
+import pytest
+
 from minwait import (
     Instance,
     Sequence,
@@ -13,7 +15,6 @@ from minwait import (
     generate_instance,
     initial_sequence,
     optimal_sort,
-    total_waiting,
 )
 
 from conftest import random_instance
@@ -123,6 +124,19 @@ def test_solver_matches_brute_force_small():
         assert not result.safety_tripped
 
 
+@pytest.mark.xfail(strict=True, reason="known miss: the search stops at 240, the optimum is 233")
+def test_solver_known_miss_dense_n8():
+    # input 643 of the benchmark's solve_dense workload at seed 12: the one
+    # miss a sweep of 10,000 dense and sparse n=8 inputs found
+    inst = Instance(
+        n=8,
+        release=(86, 101, 73, 70, 54, 128, 36, 34),
+        processing=(1, 25, 44, 42, 9, 5, 45, 15),
+    )
+    assert brute_force_optimum(inst).objective == 233
+    assert optimal_sort(inst).best_objective == 233
+
+
 def test_move_log_is_strictly_improving():
     rng = random.Random(20)
     seen_logs = 0
@@ -143,9 +157,7 @@ def test_result_objective_consistent():
     for _ in range(10):
         inst = generate_instance(rng.randint(2, 12), rng.getrandbits(64))
         result = optimal_sort(inst)
-        assert result.best_objective == total_waiting(
-            compute_profile(inst, result.best_sequence)
-        )
+        assert result.best_objective == compute_profile(inst, result.best_sequence).objective
         assert result.iterations >= 1
         assert result.elapsed >= 0.0
 

@@ -99,6 +99,79 @@ GOLDEN = {
         2,
         ((1, "forward", 1, 2, -243),),
     ),
+    # n=17..20, one per regime
+    ("generated", 17, 0): (
+        1811,
+        (15, 13, 12, 5, 14, 8, 1, 2, 11, 7, 6, 4, 9, 10, 3, 17, 16),
+        2,
+        ((1, "forward", 1, 3, -659),),
+    ),
+    ("dense", 17, 0): (
+        1359,
+        (15, 13, 12, 6, 5, 14, 8, 1, 10, 2, 11, 7, 4, 9, 3, 17, 16),
+        2,
+        ((1, "forward", 1, 3, -491),),
+    ),
+    ("sparse", 17, 0): (
+        353,
+        (6, 13, 15, 12, 10, 5, 3, 1, 14, 8, 17, 11, 2, 7, 4, 9, 16),
+        2,
+        ((1, "forward", 1, 3, -118),),
+    ),
+    ("generated", 18, 0): (
+        803,
+        (13, 6, 4, 7, 18, 15, 16, 11, 5, 9, 2, 1, 12, 17, 8, 10, 14, 3),
+        2,
+        ((1, "forward", 2, 3, -783),),
+    ),
+    ("dense", 18, 0): (
+        559,
+        (13, 6, 4, 7, 18, 1, 15, 16, 11, 9, 5, 10, 2, 8, 12, 17, 14, 3),
+        2,
+        ((1, "forward", 2, 3, -577),),
+    ),
+    ("sparse", 18, 0): (
+        485,
+        (13, 6, 4, 18, 7, 1, 15, 16, 11, 9, 5, 10, 2, 8, 12, 14, 17, 3),
+        2,
+        ((1, "forward", 2, 3, -408),),
+    ),
+    ("generated", 19, 0): (
+        1876,
+        (3, 15, 7, 8, 19, 2, 14, 17, 18, 9, 10, 1, 12, 11, 13, 4, 6, 16, 5),
+        2,
+        ((1, "forward", 2, 3, -700),),
+    ),
+    ("dense", 19, 0): (
+        1591,
+        (3, 15, 7, 8, 19, 14, 2, 1, 17, 18, 9, 12, 10, 11, 13, 4, 6, 16, 5),
+        2,
+        ((1, "forward", 2, 3, -641),),
+    ),
+    ("sparse", 19, 0): (
+        1265,
+        (3, 15, 7, 8, 19, 2, 14, 13, 18, 17, 1, 9, 12, 11, 4, 10, 6, 16, 5),
+        2,
+        ((1, "forward", 2, 3, -522),),
+    ),
+    ("generated", 20, 0): (
+        1409,
+        (16, 12, 20, 19, 14, 2, 3, 10, 5, 6, 13, 9, 1, 17, 4, 18, 7, 11, 15, 8),
+        2,
+        ((1, "forward", 1, 2, -1062),),
+    ),
+    ("dense", 20, 0): (
+        876,
+        (16, 12, 7, 19, 20, 2, 14, 3, 5, 10, 6, 4, 18, 13, 9, 17, 1, 11, 15, 8),
+        2,
+        ((1, "forward", 1, 2, -581),),
+    ),
+    ("sparse", 20, 0): (
+        612,
+        (16, 12, 7, 20, 19, 14, 2, 6, 3, 5, 10, 18, 4, 15, 13, 11, 9, 1, 17, 8),
+        2,
+        ((1, "forward", 1, 2, -373),),
+    ),
     # the few instances whose accepted move is not (1, 2)
     ("generated", 9, 6): (152, (1, 9, 6, 8, 4, 2, 7, 5, 3), 2, ((1, "forward", 1, 4, -110),)),
     ("dense", 10, 2): (198, (6, 2, 9, 10, 4, 5, 1, 3, 7, 8), 2, ((1, "forward", 6, 7, -27),)),

@@ -125,7 +125,6 @@ def test_generator_release_mean():
 
 def test_initial_sequence_reference(reference):
     assert initial_sequence(reference).order == (1, 2, 3, 4, 5)
-    assert initial_sequence(reference).iteration == 0
 
 
 def test_initial_sequence_tie_break_processing():

@@ -1,10 +1,12 @@
 """The driver's per-solve cache returns exactly what a recomputation would.
 
 A solve records, in one private cache, objectives by order, the solution
-space of each incumbent, and the reworked block of each rule call keyed by
-(role, block jobs, entry time, flow in). These tests audit every entry a few
-solves leave behind against a fresh computation, and pin how many rule calls
-still reach ``minwait.rules`` on one golden instance.
+space of each incumbent in each direction, and the reworked block of each
+rule call keyed by (rule, block jobs, entry time, flow in). These tests
+audit every entry a few solves leave behind against a fresh computation,
+check that the cache splices a reworked block into its own positions only,
+and pin how many rule calls still reach ``minwait.rules`` on one golden
+instance.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ import pytest
 
 import minwait.driver
 from minwait import (
-    ROLE_DECREASING,
+    BACKWARD,
+    FORWARD,
     Instance,
-    SegmentContext,
     Sequence,
     adjacent_exchange,
     backward_solution_set,
@@ -63,30 +65,17 @@ def audit(cache) -> None:
         assert objective == compute_profile(inst, Sequence(order=order)).objective
     for order, profile in cache._profiles.items():
         assert profile == compute_profile(inst, Sequence(order=order))
-    for order, anchors in cache._forward.items():
+    for (direction, order), rows in cache._spaces.items():
         seq = Sequence(order=order)
         profile = compute_profile(inst, seq)
-        assert anchors == tuple(
-            tuple(sorted(forward_solution_set(profile, inst, seq, i)))
+        solution_set = forward_solution_set if direction == FORWARD else backward_solution_set
+        assert rows == tuple(
+            tuple(sorted(solution_set(profile, inst, seq, i), reverse=direction == BACKWARD))
             for i in range(1, inst.n + 1)
         )
-    for order, targets in cache._backward.items():
-        seq = Sequence(order=order)
-        profile = compute_profile(inst, seq)
-        assert targets == tuple(
-            tuple(sorted(backward_solution_set(profile, inst, seq, i), reverse=True))
-            for i in range(1, inst.n + 1)
-        )
-    for (role, jobs, entry_time, flow_in), block in cache._blocks.items():
-        rest = tuple(job for job in range(1, inst.n + 1) if job not in jobs)
-        seq = Sequence(order=jobs + rest)
-        ctx = SegmentContext(
-            start=1, stop=len(jobs), role=role, flow_in=flow_in, entry_time=entry_time
-        )
-        rule = bottleneck_breakthrough if role == ROLE_DECREASING else adjacent_exchange
-        reworked, _ = rule(ctx, inst, seq)
-        assert block == (None if reworked is seq else reworked.order[: len(jobs)])
-        assert reworked.order[len(jobs) :] == rest
+    for (rule, jobs, entry_time, flow_in), block in cache._blocks.items():
+        assert rule in (adjacent_exchange, bottleneck_breakthrough)
+        assert block == rule(inst, jobs, entry_time, flow_in)[0]
 
 
 @pytest.mark.parametrize("crowded", [True, False], ids=["crowded", "idle-rich"])
@@ -96,9 +85,33 @@ def test_every_cache_entry_matches_a_fresh_computation(monkeypatch, crowded):
     for n in (6, 7, 7, 8):
         (cache,) = solve_keeping_caches(monkeypatch, regime_instance(rng, n, crowded))
         audit(cache)
-        assert cache._forward and cache._blocks
+        assert {direction for direction, _ in cache._spaces} == {FORWARD, BACKWARD}
+        assert cache._blocks
         entries += len(cache._blocks)
     assert entries >= 100
+
+
+def test_rework_touches_only_its_block():
+    # a miss, then a hit: both splice the reworked block into positions start..stop
+    inst = Instance(n=5, release=(0, 20, 104, 60, 150), processing=(4, 5, 30, 3, 2))
+    cache = SolveCache(inst)
+    for _ in range(2):
+        assert cache.rework(
+            Sequence(order=(1, 2, 3, 4, 5)), 2, 4, bottleneck_breakthrough, 50, 100
+        ).order == (1, 2, 4, 3, 5)
+
+    inst = Instance(n=4, release=(0, 1, 2, 300), processing=(9, 5, 3, 1))
+    cache = SolveCache(inst)
+    for _ in range(2):
+        out = cache.rework(Sequence(order=(1, 2, 3, 4)), 1, 3, adjacent_exchange, 0, 0)
+        assert out.order == adjacent_exchange(inst, (1, 2, 3), 0, 0)[0] + (4,) == (2, 3, 1, 4)
+
+    # the longer job leads, but swapping strands it behind a late release
+    inst = Instance(n=3, release=(0, 100, 0), processing=(5, 1, 2))
+    seq = Sequence(order=(3, 1, 2))
+    cache = SolveCache(inst)
+    for _ in range(2):
+        assert cache.rework(seq, 2, 3, adjacent_exchange, 0, 2) is seq
 
 
 def test_cache_lives_for_one_solve(monkeypatch, reference):

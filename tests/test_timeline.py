@@ -15,9 +15,7 @@ from minwait import (
     classify_adjacent,
     compute_profile,
     generate_instance,
-    makespan,
     segment_profile,
-    total_waiting,
 )
 
 from _sim import simulate
@@ -39,7 +37,7 @@ def test_single_job_profile():
     profile = compute_profile(inst, Sequence(order=(1,)))
     assert profile.waits == (0,)
     assert profile.objective == 0
-    assert makespan(profile) == 7
+    assert profile.completions[-1] == 7
 
 
 def test_swapped_tail_profile(reference):
@@ -53,21 +51,21 @@ def test_swapped_tail_profile(reference):
 
 
 def test_total_waiting(reference):
-    assert total_waiting(compute_profile(reference, Sequence(order=(1, 2, 3, 4, 5)))) == 4
-    assert total_waiting(compute_profile(reference, Sequence(order=(1, 2, 3, 5, 4)))) == 13
+    assert compute_profile(reference, Sequence(order=(1, 2, 3, 4, 5))).objective == 4
+    assert compute_profile(reference, Sequence(order=(1, 2, 3, 5, 4))).objective == 13
     spread = Instance(n=3, release=(0, 100, 200), processing=(5, 5, 5))
-    assert total_waiting(compute_profile(spread, Sequence(order=(1, 2, 3)))) == 0
+    assert compute_profile(spread, Sequence(order=(1, 2, 3))).objective == 0
 
 
 def test_makespan(reference):
     profile = compute_profile(reference, Sequence(order=(1, 2, 3, 4, 5)))
     # first start + total processing + total idle, checked by simulation
-    assert makespan(profile) == 0 + 23 + 8 == 31
+    assert profile.completions[-1] == 0 + 23 + 8 == 31
     sim = simulate(reference.release, reference.processing, (1, 2, 3, 4, 5))
-    assert makespan(profile) == sim.completions[-1]
+    assert profile.completions[-1] == sim.completions[-1]
     packed = Instance(n=3, release=(5, 0, 0), processing=(4, 3, 2))
     prof = compute_profile(packed, Sequence(order=(1, 2, 3)))
-    assert makespan(prof) == 5 + 9
+    assert prof.completions[-1] == 5 + 9
 
 
 def test_classify_adjacent_reference(reference):
