@@ -7,12 +7,14 @@ import pytest
 
 from minwait import (
     Instance,
+    Sequence,
     adjacent_exchange,
     bottleneck_breakthrough,
     certify_global,
     compute_profile,
     segment_profile,
 )
+from minwait.driver import _SolveCache
 
 from conftest import random_instance
 
@@ -172,6 +174,23 @@ def test_bottleneck_beats_every_single_pullback():
             order.insert(target, job)
             singles.append(segment_cost(inst, tuple(order), entry - flow))
     assert realized <= min(singles)
+
+
+def test_bottleneck_respects_range_inside_sequence():
+    # reworking positions 2..4 must only rearrange that block and leave the rest alone
+    inst = Instance(n=5, release=(0, 20, 104, 60, 150), processing=(4, 5, 30, 3, 2))
+    seq = Sequence(order=(1, 2, 3, 4, 5))
+    out = _SolveCache(inst).rework(seq, 2, 4, bottleneck_breakthrough, 50, 100)
+    assert out.order[0] == 1 and out.order[4] == 5
+    assert sorted(out.order[1:4]) == [2, 3, 4]
+
+
+def test_exchange_respects_range_inside_sequence():
+    inst = Instance(n=4, release=(0, 1, 2, 300), processing=(9, 5, 3, 1))
+    seq = Sequence(order=(1, 2, 3, 4))
+    out = _SolveCache(inst).rework(seq, 1, 3, adjacent_exchange, 0, 0)
+    assert out.order[3] == 4
+    assert sorted(out.order[:3]) == [1, 2, 3]
 
 
 def test_rules_return_their_input_when_the_block_is_unchanged():
