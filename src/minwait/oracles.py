@@ -6,13 +6,22 @@ pruning only) and a depth-first branch and bound whose lower bound is the
 preemptive shortest-remaining-processing-time relaxation, a classical
 valid bound for the non-preemptive problem. A text exporter emits the
 disjunctive big-M formulation for any external LP/MILP solver.
+
+Branch and bound keeps each node's unscheduled jobs in (release, id)
+order from the root; dropping one job keeps that order, so no node sorts
+for the bound. One private kernel, ``_srpt_bound``, computes the bound in
+a single pass over those jobs with a heap of remaining times, and once no
+release is pending it finishes the queue shortest-first with one sort.
+``srpt_waiting_bound`` is the public form: it accepts jobs in any order,
+sorts them and calls the kernel.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
+from heapq import heappop, heappush, heapreplace
 
 from .instances import Instance, Sequence, initial_sequence
 
@@ -97,36 +106,53 @@ def brute_force_optimum(inst: Instance) -> OracleResult:
     )
 
 
+def _srpt_bound(
+    release: tuple[int, ...], processing: tuple[int, ...], jobs: list[int], t: int
+) -> int:
+    """Preemptive shortest-remaining-time total waiting of ``jobs`` from time ``t``.
+
+    ``jobs`` must be in release order, as branch and bound keeps its
+    unscheduled set, so no call sorts. ``release`` and ``processing`` are
+    indexed by job id (entry 0 unused). The heap holds
+    remaining times only: which of two equal remaining times runs first
+    changes no completion time, so the total is that of any SRPT schedule.
+    Waiting is total completion minus each job's release plus processing.
+    Once no release is pending, the queue finishes shortest-first.
+    """
+    heap: list[int] = []
+    total = 0
+    for job in jobs:
+        r = release[job]
+        if r > t:
+            while heap:
+                end = t + heap[0]
+                if end > r:
+                    heapreplace(heap, end - r)
+                    break
+                heappop(heap)
+                t = end
+                total += end
+            t = r
+        p = processing[job]
+        heappush(heap, p)
+        total -= r + p
+    for remaining in sorted(heap):
+        t += remaining
+        total += t
+    return total
+
+
 def srpt_waiting_bound(inst: Instance, jobs: tuple[int, ...], start_time: int) -> int:
     """Preemptive shortest-remaining-time total waiting of ``jobs`` from ``start_time``.
 
     Preemption can only lower total completion, so this is an admissible
     lower bound on the waiting any non-preemptive completion of the same
-    jobs accrues from the same machine-free time.
+    jobs accrues from the same machine-free time. ``jobs`` may come in any
+    order.
     """
-    by_release = sorted(jobs, key=lambda j: (inst.release[j - 1], j))
-    m = len(by_release)
-    heap: list[tuple[int, int]] = []
-    idx = 0
-    t = start_time
-    total = 0
-    while heap or idx < m:
-        while idx < m and inst.release[by_release[idx] - 1] <= t:
-            job = by_release[idx]
-            heapq.heappush(heap, (inst.processing[job - 1], job))
-            idx += 1
-        if not heap:
-            t = inst.release[by_release[idx] - 1]
-            continue
-        remaining, job = heapq.heappop(heap)
-        horizon = inst.release[by_release[idx] - 1] if idx < m else None
-        if horizon is None or t + remaining <= horizon:
-            t += remaining
-            total += t - inst.release[job - 1] - inst.processing[job - 1]
-        else:
-            heapq.heappush(heap, (remaining - (horizon - t), job))
-            t = horizon
-    return total
+    release = (0, *inst.release)
+    by_release = sorted(jobs, key=release.__getitem__)
+    return _srpt_bound(release, (0, *inst.processing), by_release, start_time)
 
 
 def branch_and_bound_optimum(
@@ -143,15 +169,35 @@ def branch_and_bound_optimum(
     could finish before it even starts (delaying nothing, a strict win for
     the inserted job). Limits turn the result into a best-effort incumbent
     with proved_optimal False.
+
+    Children are visited earliest-start-first (ties: shorter, then lower
+    id). The search keeps an explicit stack of the nodes whose children are
+    being visited, so its depth is not bounded by Python's recursion limit.
+    Each node's unscheduled jobs stay in (release, id) order: the bound
+    reads them in that order, and the jobs released by the node's start
+    time are a prefix of them.
     """
     started = time.perf_counter()
     deadline = None if time_limit_ms is None else started + time_limit_ms / 1000.0
-    release = inst.release
-    processing = inst.processing
     n = inst.n
-
+    # indexed by job id, entry 0 unused
+    release = (0, *inst.release)
+    processing = (0, *inst.processing)
+    start_key = release.__getitem__
+    # the initial order is by (release, processing, id)
     incumbent_order = initial_sequence(inst).order
     incumbent = _sequence_objective(inst, incumbent_order)
+    # child order as ranks: released jobs by (processing, id), later ones by
+    # (release, processing, id)
+    by_processing = [0] * (n + 1)
+    for rank, job in enumerate(sorted(range(1, n + 1), key=lambda j: (processing[j], j))):
+        by_processing[job] = rank
+    by_arrival = [0] * (n + 1)
+    for rank, job in enumerate(incumbent_order):
+        by_arrival[job] = rank
+    released_key = by_processing.__getitem__
+    later_key = by_arrival.__getitem__
+
     nodes = 0
     completed = True
     prefix: list[int] = []
@@ -177,44 +223,78 @@ def branch_and_bound_optimum(
         entries.append((free_at, accrued))
         return False
 
-    def descend(mask: int, free_at: int, accrued: int, remaining: list[int]) -> None:
+    def enter(mask: int, free_at: int, accrued: int, remaining: list[int]) -> list[int] | None:
+        """Count one node; return the children to visit, or None if it is closed."""
         nonlocal incumbent, incumbent_order, nodes, completed
         nodes += 1
         if out_of_budget():
             completed = False
-            return
+            return None
         if not remaining:
             if accrued < incumbent:
                 incumbent = accrued
                 incumbent_order = tuple(prefix)
-            return
+            return None
         if dominated_state(mask, free_at, accrued):
-            return
-        if accrued + srpt_waiting_bound(inst, tuple(remaining), free_at) >= incumbent:
-            return
-        children = sorted(
-            remaining,
-            key=lambda j: (max(free_at, release[j - 1]), processing[j - 1], j),
-        )
-        if dominance:
-            earliest_finish = min(
-                max(free_at, release[j - 1]) + processing[j - 1] for j in children
-            )
-            children = [j for j in children if max(free_at, release[j - 1]) < earliest_finish]
-        for job in children:
-            if not completed:
-                return
-            r = release[job - 1]
+            return None
+        if accrued + _srpt_bound(release, processing, remaining, free_at) >= incumbent:
+            return None
+        ready = bisect_right(remaining, free_at, key=start_key)
+        released = remaining[:ready]
+        if not dominance:
+            later = remaining[ready:]
+        else:
+            # keep only jobs that start before the earliest finish of any
+            # job; past the first release at or after it, no job can start
+            # before it or finish sooner, so the scan stops there
+            if released:
+                earliest_finish = free_at + min(map(processing.__getitem__, released))
+            else:
+                first = remaining[0]
+                earliest_finish = release[first] + processing[first]
+            stop = ready
+            for job in remaining[ready:]:
+                r = release[job]
+                if r >= earliest_finish:
+                    break
+                if r + processing[job] < earliest_finish:
+                    earliest_finish = r + processing[job]
+                stop += 1
+            later = remaining[ready:stop]
+        released.sort(key=released_key)
+        later.sort(key=later_key)
+        return released + later
+
+    # One frame per open node: (mask, free_at, accrued, remaining, children
+    # not yet visited); the prefix holds one job per frame below the root.
+    root = sorted(range(1, n + 1), key=start_key)
+    children = enter(0, 0, 0, root)
+    stack = [] if children is None else [(0, 0, 0, root, iter(children))]
+    while stack:
+        mask, free_at, accrued, remaining, pending = stack[-1]
+        for job in pending:
+            r = release[job]
             start = free_at if free_at > r else r
             added = accrued + start - r
             if added >= incumbent:
                 continue
             prefix.append(job)
-            rest = [j for j in remaining if j != job]
-            descend(mask | (1 << job), start + processing[job - 1], added, rest)
+            rest = remaining.copy()
+            rest.remove(job)
+            child = (mask | (1 << job), start + processing[job], added, rest)
+            children = enter(*child)
+            if children is not None:
+                stack.append((*child, iter(children)))
+                break
             prefix.pop()
+            if not completed:
+                stack.clear()
+                break
+        else:
+            stack.pop()
+            if stack:
+                prefix.pop()
 
-    descend(0, 0, 0, list(range(1, n + 1)))
     return OracleResult(
         objective=incumbent,
         sequence=Sequence(order=incumbent_order),

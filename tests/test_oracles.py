@@ -4,11 +4,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minwait import (
     Instance,
     Sequence,
     auto_big_m,
+    bench_instance,
     branch_and_bound_optimum,
     brute_force_optimum,
     compute_profile,
@@ -16,6 +19,7 @@ from minwait import (
     generate_instance,
     srpt_waiting_bound,
 )
+from minwait.oracles import _srpt_bound
 
 from conftest import random_instance
 
@@ -113,6 +117,149 @@ def _suffix_waiting(inst, order, free_at):
         total += start - inst.r(job)
         free_at = start + inst.p(job)
     return total
+
+
+def test_branch_and_bound_deep_search_has_no_recursion_limit():
+    # the first dive of this search runs about 1,200 jobs deep, past
+    # Python's default recursion limit of 1,000
+    inst = generate_instance(1200, 5)
+    limited = branch_and_bound_optimum(inst, node_limit=1500)
+    assert limited.nodes_explored == 1500
+    timed = branch_and_bound_optimum(inst, time_limit_ms=500)
+    for result in (limited, timed):
+        assert not result.proved_optimal
+        assert sorted(result.sequence.order) == list(range(1, 1201))
+        assert result.objective == compute_profile(inst, result.sequence).objective
+
+
+# bench_instance(20250816, 30, index) proofs: (index, objective, order,
+# nodes explored with dominance, nodes explored without). The node counts pin
+# the search's visit order and pruning, not only its result.
+PINNED_PROOFS = [
+    (0, 5580, (28, 23, 17, 19, 15, 5, 26, 14, 27, 11, 7, 1, 9, 29, 4, 22, 21, 6, 24, 12, 3, 16, 13, 10, 2, 25, 30, 8, 18, 20), 1316, 1979),
+    (1, 5696, (29, 28, 18, 6, 19, 2, 23, 22, 5, 26, 11, 14, 27, 15, 3, 21, 30, 10, 20, 24, 13, 1, 12, 8, 17, 9, 7, 25, 16, 4), 1419, 2140),
+    (2, 5478, (15, 26, 1, 25, 20, 19, 23, 9, 7, 30, 18, 8, 24, 4, 28, 14, 17, 13, 16, 12, 22, 21, 27, 10, 29, 2, 3, 5, 6, 11), 323, 542),
+    (3, 5312, (19, 22, 10, 25, 16, 23, 27, 14, 30, 21, 24, 18, 17, 3, 26, 7, 2, 11, 29, 1, 13, 28, 8, 15, 20, 6, 9, 4, 5, 12), 574, 893),
+    (4, 6132, (1, 11, 3, 18, 20, 13, 4, 16, 26, 15, 28, 6, 29, 30, 2, 17, 10, 23, 24, 21, 25, 5, 27, 7, 12, 14, 22, 8, 9, 19), 836, 1284),
+    (5, 5494, (25, 19, 7, 27, 21, 6, 3, 11, 28, 20, 22, 2, 12, 30, 10, 17, 9, 14, 8, 15, 5, 23, 4, 18, 13, 24, 16, 26, 1, 29), 1980, 2972),
+    (6, 6453, (14, 9, 20, 2, 23, 18, 22, 10, 29, 12, 21, 19, 5, 13, 25, 6, 7, 24, 30, 1, 28, 17, 15, 11, 4, 16, 26, 3, 8, 27), 1241, 1632),
+    (7, 4833, (9, 4, 20, 2, 10, 24, 21, 12, 16, 29, 30, 28, 7, 18, 5, 15, 22, 23, 26, 8, 27, 19, 1, 17, 3, 13, 6, 25, 14, 11), 1002, 2121),
+    (8, 3977, (2, 30, 14, 21, 12, 19, 15, 28, 9, 8, 7, 10, 13, 26, 17, 4, 18, 5, 16, 24, 29, 3, 11, 22, 23, 1, 25, 27, 6, 20), 3118, 6374),
+    (9, 4011, (7, 2, 25, 17, 9, 20, 1, 5, 16, 12, 10, 30, 6, 24, 21, 27, 4, 23, 22, 26, 19, 28, 13, 29, 3, 18, 8, 15, 14, 11), 368, 674),
+]
+
+# node-limited runs of the same search: (index, node_limit, objective, order)
+PINNED_LIMITED = [
+    (0, 40, 5594, (28, 13, 19, 23, 5, 26, 14, 27, 17, 7, 11, 4, 9, 22, 29, 21, 15, 1, 6, 24, 12, 3, 16, 10, 2, 25, 30, 8, 18, 20)),
+    (1, 40, 5810, (16, 28, 18, 19, 6, 5, 2, 22, 23, 26, 11, 14, 27, 15, 3, 21, 30, 10, 20, 24, 13, 1, 12, 29, 8, 17, 9, 7, 25, 4)),
+    (0, 400, 5593, (28, 13, 19, 23, 5, 26, 14, 27, 15, 7, 11, 9, 4, 29, 17, 22, 21, 1, 6, 24, 12, 3, 16, 10, 2, 25, 30, 8, 18, 20)),
+    (1, 400, 5805, (16, 28, 18, 19, 6, 5, 2, 22, 23, 26, 14, 27, 11, 15, 3, 21, 30, 10, 20, 24, 13, 1, 12, 29, 8, 17, 9, 7, 25, 4)),
+]
+
+
+@pytest.mark.parametrize("index, objective, order, nodes, plain_nodes", PINNED_PROOFS)
+def test_branch_and_bound_pinned_proofs(index, objective, order, nodes, plain_nodes):
+    inst = bench_instance(20250816, 30, index)
+    for dominance, explored in ((True, nodes), (False, plain_nodes)):
+        result = branch_and_bound_optimum(inst, dominance=dominance)
+        assert result.proved_optimal
+        assert (result.objective, result.sequence.order, result.nodes_explored) == (
+            objective,
+            order,
+            explored,
+        )
+
+
+@pytest.mark.parametrize("index, limit, objective, order", PINNED_LIMITED)
+def test_branch_and_bound_pinned_limited_runs(index, limit, objective, order):
+    result = branch_and_bound_optimum(bench_instance(20250816, 30, index), node_limit=limit)
+    assert not result.proved_optimal
+    assert (result.objective, result.sequence.order, result.nodes_explored) == (
+        objective,
+        order,
+        limit,
+    )
+
+
+def _srpt_reference(inst, jobs, start_time):
+    """SRPT by direct simulation: run the released job with the least remaining
+    time (then the lowest id) until it ends or the next job is released."""
+    left = {job: inst.p(job) for job in jobs}
+    t = start_time
+    total = 0
+    while left:
+        ready = [job for job in left if inst.r(job) <= t]
+        arrivals = [inst.r(job) for job in left if inst.r(job) > t]
+        if not ready:
+            t = min(arrivals)
+            continue
+        job = min(ready, key=lambda j: (left[j], j))
+        run = left[job] if not arrivals else min(left[job], min(arrivals) - t)
+        t += run
+        left[job] -= run
+        if not left[job]:
+            del left[job]
+            total += t - inst.r(job) - inst.p(job)
+    return total
+
+
+def _kernel(inst, jobs, start_time):
+    by_release = sorted(jobs, key=lambda j: (inst.r(j), j))
+    return _srpt_bound((0, *inst.release), (0, *inst.processing), by_release, start_time)
+
+
+@st.composite
+def job_sets(draw):
+    """(instance, jobs in any order, start time): equal releases or equal
+    processing times in some draws, integers around 1e12 in others."""
+    n = draw(st.integers(1, 9))
+    base = draw(st.sampled_from([0, 10**12]))
+    spread = draw(st.sampled_from([0, 5, 60, 3 * 10**12]))
+    longest = draw(st.sampled_from([1, 3, 30, 10**12]))
+    release = tuple(base + draw(st.integers(0, spread)) for _ in range(n))
+    processing = tuple(draw(st.integers(1, longest)) for _ in range(n))
+    jobs = draw(st.lists(st.integers(1, n), unique=True))
+    start_time = draw(st.sampled_from([0, min(release), max(release)])) + draw(
+        st.integers(0, longest)
+    )
+    return Instance(n=n, release=release, processing=processing), jobs, start_time
+
+
+@given(job_sets())
+@settings(max_examples=300, deadline=None)
+def test_bound_kernel_matches_simulation(case):
+    inst, jobs, start_time = case
+    expected = _srpt_reference(inst, jobs, start_time)
+    assert _kernel(inst, jobs, start_time) == expected
+    assert srpt_waiting_bound(inst, tuple(jobs), start_time) == expected
+
+
+def test_bound_kernel_edge_cases():
+    big = 10**12
+    cases = [
+        # empty set
+        (Instance(n=2, release=(10, 20), processing=(5, 5)), [], 0),
+        # none released at the start
+        (Instance(n=3, release=(40, 10, 25), processing=(9, 30, 2)), [1, 2, 3], 0),
+        # all released at the start: plain shortest-first from the start time
+        (Instance(n=4, release=(0, 3, 1, 2), processing=(8, 2, 5, 2)), [4, 1, 3, 2], 50),
+        # equal releases
+        (Instance(n=4, release=(7, 7, 7, 7), processing=(6, 1, 4, 4)), [3, 1, 4, 2], 0),
+        # equal processing times, staggered releases
+        (Instance(n=5, release=(0, 2, 2, 9, 4), processing=(3, 3, 3, 3, 3)), [5, 4, 3, 2, 1], 1),
+        # integers around 1e12, with preemption at a release
+        (
+            Instance(n=3, release=(big, big + 5, big + 7), processing=(big, 3, big - 1)),
+            [2, 3, 1],
+            big + 1,
+        ),
+    ]
+    for inst, jobs, start_time in cases:
+        expected = _srpt_reference(inst, jobs, start_time)
+        assert _kernel(inst, jobs, start_time) == expected, inst
+        assert srpt_waiting_bound(inst, tuple(jobs), start_time) == expected, inst
+    # all released at 50, shortest first: 2 and 2 end at 52 and 54, 5 at 59, 8 at 67
+    assert _kernel(*cases[2]) == (52 - 3 - 2) + (54 - 2 - 2) + (59 - 1 - 5) + (67 - 0 - 8)
 
 
 def test_bound_zero_cases():

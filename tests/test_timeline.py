@@ -15,6 +15,7 @@ from minwait import (
     classify_adjacent,
     compute_profile,
     generate_instance,
+    initial_sequence,
     segment_profile,
 )
 
@@ -171,3 +172,64 @@ def test_generated_instances_profile_cleanly():
                 inst.r(seq.job_at(pos)), profile.completions[pos - 2]
             )
         assert profile.waits[0] == 0 and profile.leader[0]
+
+
+# The paper's adjacent-pair proposition, case by case. For the job at
+# position i, r_0^o is the release of the last queue leader before it and
+# p_0^o the processing from that leader through position i-1, so that
+#   w_i = r_0^o + p_0^o - r_i,
+#   w_{i+1} = r_0^o + p_0^o + p_i - r_{i+1}  when w_i > 0 (i joins the queue),
+#   w_{i+1} = r_i + p_i - r_{i+1}            when w_i <= 0 (i leads a new one).
+# Cells are (w_i > 0, w_{i+1} > 0, r_i <= r_{i+1}). A swapped pair
+# (r_i > r_{i+1}) always has w_{i+1} > 0, so six of the eight cells occur.
+REACHABLE_PAIR_CELLS = {
+    (False, False, True),
+    (False, True, True),
+    (True, False, True),
+    (True, True, True),
+    (False, True, False),
+    (True, True, False),
+}
+
+
+def _paper_pair_cells(inst: Instance, seq: Sequence) -> set[tuple[bool, bool, bool]]:
+    """Check the paper's wait formulas at every position; return the cells met."""
+    profile = compute_profile(inst, seq)
+    cells = set()
+    r0 = p0 = 0  # r_0^o and p_0^o for the job at the current position
+    for i in range(1, inst.n):
+        a, b = seq.job_at(i), seq.job_at(i + 1)
+        w_i, w_next = profile.wait_at(i), profile.wait_at(i + 1)
+        if i > 1:
+            assert w_i == r0 + p0 - inst.r(a)
+        if profile.leader[i - 1]:
+            # the code's queue leaders are exactly the paper's w_i <= 0
+            assert w_i <= 0
+            assert w_next == inst.r(a) + inst.p(a) - inst.r(b)
+            r0, p0 = inst.r(a), inst.p(a)
+        else:
+            assert w_i > 0
+            assert w_next == r0 + p0 + inst.p(a) - inst.r(b)
+            p0 += inst.p(a)
+        ordered = inst.r(a) <= inst.r(b)
+        expected_tag = FCFS_CONSISTENT if ordered else LCFS_SWAPPED
+        assert classify_adjacent(profile, inst, seq, i) == expected_tag
+        cells.add((w_i > 0, w_next > 0, ordered))
+    return cells
+
+
+@pytest.mark.parametrize("scale", [1, 10**10], ids=["small", "around-1e12"])
+def test_adjacent_pair_proposition_case_by_case(scale):
+    rng = random.Random(808)
+    offset = 0 if scale == 1 else 10**12
+    cells = set()
+    for _ in range(200):
+        n = rng.randint(2, 12)
+        inst = Instance(
+            n=n,
+            release=tuple(offset + rng.randint(0, 200 * scale) for _ in range(n)),
+            processing=tuple(rng.randint(1, 50 * scale) for _ in range(n)),
+        )
+        cells |= _paper_pair_cells(inst, random_sequence(rng, n))
+        cells |= _paper_pair_cells(inst, initial_sequence(inst))
+    assert cells == REACHABLE_PAIR_CELLS
