@@ -27,7 +27,7 @@ def main() -> None:
     print("starting order", seq.order, "objective", profile.objective)
     print()
 
-    fwd = forward_move_delta(profile, inst, seq, 4, 5)
+    fwd = forward_move_delta(profile, inst, 4, 5)
     print("move position 4 after position 5:")
     print(
         f"  local {fwd.part_local:+d}, handoff {fwd.part_flow:+d},"
@@ -38,7 +38,7 @@ def main() -> None:
     print(f"  rescored: {after.objective} - {profile.objective} = {after.objective - profile.objective:+d}")
     print()
 
-    bwd = backward_move_delta(profile, inst, seq, 5, 4)
+    bwd = backward_move_delta(profile, inst, 5, 4)
     print("move position 5 before position 4 (same permutation):")
     print(
         f"  local {bwd.part_local:+d}, handoff {bwd.part_flow:+d},"
@@ -52,11 +52,11 @@ def main() -> None:
     print("every admissible move from this order:")
     for i in range(1, 6):
         for k in range(i + 1, 6):
-            ev = forward_move_delta(profile, inst, seq, i, k)
+            ev = forward_move_delta(profile, inst, i, k)
             marker = "  <-- improves" if ev.delta_total < 0 else ""
             print(f"  forward  {i}->{k}: {ev.delta_total:+d}{marker}")
         for k in range(1, i):
-            ev = backward_move_delta(profile, inst, seq, i, k)
+            ev = backward_move_delta(profile, inst, i, k)
             marker = "  <-- improves" if ev.delta_total < 0 else ""
             print(f"  backward {i}->{k}: {ev.delta_total:+d}{marker}")
     print("none improve: this order is already optimal")

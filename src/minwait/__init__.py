@@ -45,12 +45,7 @@ from .move_calculus import (
     forward_move_delta,
     idle_adjustment,
 )
-from .solution_sets import (
-    SolutionSets,
-    backward_solution_set,
-    forward_solution_set,
-    full_solution_space,
-)
+from .solution_sets import backward_solution_set, forward_solution_set
 from .rules import (
     adjacent_exchange,
     bottleneck_breakthrough,
@@ -109,10 +104,8 @@ __all__ = [
     "backward_move_delta",
     "forward_move_delta",
     "idle_adjustment",
-    "SolutionSets",
     "backward_solution_set",
     "forward_solution_set",
-    "full_solution_space",
     "adjacent_exchange",
     "bottleneck_breakthrough",
     "certify_global",

@@ -108,7 +108,7 @@ class _SolveCache:
             solution_set = forward_solution_set if direction == FORWARD else backward_solution_set
             descending = direction == BACKWARD
             rows = tuple(
-                tuple(sorted(solution_set(profile, self.inst, seq, i), reverse=descending))
+                tuple(sorted(solution_set(profile, self.inst, i), reverse=descending))
                 for i in range(1, self.inst.n + 1)
             )
             self._spaces[key] = rows

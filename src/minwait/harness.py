@@ -443,3 +443,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 def main() -> None:
     sys.exit(cli_main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

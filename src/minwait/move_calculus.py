@@ -71,16 +71,12 @@ def removal_trace(profile: WaitingProfile, inst: Instance, i: int) -> FlowTrace:
     return propagate_decrease(profile, i + 1, seed)
 
 
-def forward_move_delta(
-    profile: WaitingProfile, inst: Instance, seq: Sequence, i: int, k: int
-) -> MoveEvaluation:
+def forward_move_delta(profile: WaitingProfile, inst: Instance, i: int, k: int) -> MoveEvaluation:
     """Evaluate moving the job at position i to immediately after position k."""
     n = inst.n
     if not 1 <= i < k <= n:
         raise ValueError(f"need 1 <= i < k <= {n}, got i={i}, k={k}")
-    if profile.order != seq.order:
-        raise ValueError("profile does not belong to this sequence")
-    mover = seq.job_at(i)
+    mover = profile.job_at(i)
     w_mover = profile.wait_at(i)
     trace = removal_trace(profile, inst, i)
 
@@ -124,16 +120,12 @@ def insertion_seed(profile: WaitingProfile, inst: Instance, i: int, k: int) -> i
     return max(0, inst.r(mover) + inst.p(mover) - profile.entry_time)
 
 
-def backward_move_delta(
-    profile: WaitingProfile, inst: Instance, seq: Sequence, i: int, k: int
-) -> MoveEvaluation:
+def backward_move_delta(profile: WaitingProfile, inst: Instance, i: int, k: int) -> MoveEvaluation:
     """Evaluate moving the job at position i to immediately before position k."""
     n = inst.n
     if not 1 <= k < i <= n:
         raise ValueError(f"need 1 <= k < i <= {n}, got i={i}, k={k}")
-    if profile.order != seq.order:
-        raise ValueError("profile does not belong to this sequence")
-    mover = seq.job_at(i)
+    mover = profile.job_at(i)
     w_mover = profile.wait_at(i)
 
     seed = insertion_seed(profile, inst, i, k)

@@ -14,56 +14,26 @@ the solver sweeps, and the suite checks it against exhaustive enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .instances import Instance, Sequence
-from .move_calculus import BACKWARD, FORWARD, backward_move_delta
+from .instances import Instance
+from .move_calculus import backward_move_delta
 from .timeline import WaitingProfile
 
 
-@dataclass(frozen=True)
-class SolutionSets:
-    """Per-position forward anchor sets, backward insertion sets, and their union."""
-
-    forward: dict[int, frozenset[int]]
-    backward: dict[int, frozenset[int]]
-
-    def moves(self) -> tuple[tuple[str, int, int], ...]:
-        """All (direction, i, target) triples, forward first, position order."""
-        out: list[tuple[str, int, int]] = []
-        for i in sorted(self.forward):
-            for k in sorted(self.forward[i]):
-                out.append((FORWARD, i, k))
-        for i in sorted(self.backward):
-            for k in sorted(self.backward[i], reverse=True):
-                out.append((BACKWARD, i, k))
-        return tuple(out)
-
-    @property
-    def union(self) -> frozenset[tuple[str, int, int]]:
-        """Both families as one searchable space."""
-        return frozenset(self.moves())
-
-
-def forward_solution_set(
-    profile: WaitingProfile, inst: Instance, seq: Sequence, i: int
-) -> frozenset[int]:
+def forward_solution_set(profile: WaitingProfile, inst: Instance, i: int) -> frozenset[int]:
     """Anchors k > i where the block sum p_j - (p_i - min(0, w_i)) stays <= 0."""
     if not 1 <= i <= inst.n:
         raise ValueError(f"position {i} out of range 1..{inst.n}")
-    freed = inst.p(seq.job_at(i)) - min(0, profile.wait_at(i))
+    freed = inst.p(profile.job_at(i)) - min(0, profile.wait_at(i))
     members: list[int] = []
     running = 0
     for k in range(i + 1, inst.n + 1):
-        running += inst.p(seq.job_at(k)) - freed
+        running += inst.p(profile.job_at(k)) - freed
         if running <= 0:
             members.append(k)
     return frozenset(members)
 
 
-def backward_solution_set(
-    profile: WaitingProfile, inst: Instance, seq: Sequence, i: int
-) -> frozenset[int]:
+def backward_solution_set(profile: WaitingProfile, inst: Instance, i: int) -> frozenset[int]:
     """Insertion positions worth trying for the job at position i.
 
     Empty when the job is not waiting. Otherwise the set holds every
@@ -84,23 +54,12 @@ def backward_solution_set(
     cumulative = 0
     for steps in range(1, i):
         j = i - steps
-        cumulative += inst.p(seq.job_at(j)) - min(0, profile.wait_at(j))
+        cumulative += inst.p(profile.job_at(j)) - min(0, profile.wait_at(j))
         if w_i <= cumulative:
             crossing = steps
             break
     members = set(range(i - crossing, i))
     for k in range(1, i - crossing):
-        if backward_move_delta(profile, inst, seq, i, k).delta_total < 0:
+        if backward_move_delta(profile, inst, i, k).delta_total < 0:
             members.add(k)
     return frozenset(members)
-
-
-def full_solution_space(profile: WaitingProfile, inst: Instance, seq: Sequence) -> SolutionSets:
-    """Forward and backward sets for every position."""
-    forward = {
-        i: forward_solution_set(profile, inst, seq, i) for i in range(1, inst.n + 1)
-    }
-    backward = {
-        i: backward_solution_set(profile, inst, seq, i) for i in range(1, inst.n + 1)
-    }
-    return SolutionSets(forward=forward, backward=backward)

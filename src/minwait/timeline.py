@@ -53,16 +53,23 @@ class WaitingProfile:
         return self.order[position - 1]
 
 
-def _profile_rows(
-    release: tuple[int, ...], processing: tuple[int, ...], order: tuple[int, ...], entry: int
-) -> tuple[list[int], list[bool], list[int], list[int], int]:
-    """Shared kernel: waits/leader/starts/completions/objective for one order."""
+def compute_profile(inst: Instance, seq: Sequence) -> WaitingProfile:
+    """Waiting profile of a whole queue; position 1 is a leader with wait 0."""
+    if len(seq.order) != inst.n:
+        raise ValueError("sequence length does not match instance")
+    return segment_profile(inst, seq.order, inst.r(seq.order[0]))
+
+
+def segment_profile(inst: Instance, order: tuple[int, ...], entry_time: int) -> WaitingProfile:
+    """Profile of a contiguous block whose machine becomes free at ``entry_time``."""
+    release = inst.release
+    processing = inst.processing
     waits: list[int] = []
     leader: list[bool] = []
     starts: list[int] = []
     completions: list[int] = []
     objective = 0
-    prev_completion = entry
+    prev_completion = entry_time
     for job in order:
         r = release[job - 1]
         w = prev_completion - r
@@ -77,33 +84,6 @@ def _profile_rows(
         starts.append(start)
         prev_completion = start + processing[job - 1]
         completions.append(prev_completion)
-    return waits, leader, starts, completions, objective
-
-
-def compute_profile(inst: Instance, seq: Sequence) -> WaitingProfile:
-    """Waiting profile of a whole queue; position 1 is a leader with wait 0."""
-    if len(seq.order) != inst.n:
-        raise ValueError("sequence length does not match instance")
-    entry = inst.r(seq.order[0])
-    waits, leader, starts, completions, objective = _profile_rows(
-        inst.release, inst.processing, seq.order, entry
-    )
-    return WaitingProfile(
-        order=seq.order,
-        entry_time=entry,
-        waits=tuple(waits),
-        leader=tuple(leader),
-        starts=tuple(starts),
-        completions=tuple(completions),
-        objective=objective,
-    )
-
-
-def segment_profile(inst: Instance, order: tuple[int, ...], entry_time: int) -> WaitingProfile:
-    """Profile of a contiguous block whose machine becomes free at ``entry_time``."""
-    waits, leader, starts, completions, objective = _profile_rows(
-        inst.release, inst.processing, order, entry_time
-    )
     return WaitingProfile(
         order=tuple(order),
         entry_time=entry_time,
@@ -148,17 +128,17 @@ FCFS_CONSISTENT = "fcfs-consistent"
 LCFS_SWAPPED = "lcfs-swapped"
 
 
-def classify_adjacent(profile: WaitingProfile, inst: Instance, seq: Sequence, k: int) -> str:
+def classify_adjacent(profile: WaitingProfile, inst: Instance, k: int) -> str:
     """Tag the adjacent pair (k, k+1) by release order and assert its inequality.
 
     Release order r_k <= r_{k+1} forces max(0,w_k) + p_k >= max(0,w_{k+1});
     the swapped order forces the strict opposite. A mismatch means the
-    profile was not produced by this engine for this sequence.
+    profile was not produced by this engine for its own order.
     """
     if not 1 <= k <= profile.n - 1:
         raise ValueError(f"pair index {k} out of range 1..{profile.n - 1}")
-    a = seq.job_at(k)
-    b = seq.job_at(k + 1)
+    a = profile.job_at(k)
+    b = profile.job_at(k + 1)
     lhs = max(0, profile.wait_at(k)) + inst.p(a)
     rhs = max(0, profile.wait_at(k + 1))
     if inst.r(a) <= inst.r(b):

@@ -26,6 +26,7 @@ from minwait import (
     apply_move,
     audit_instance,
     backward_move_delta,
+    backward_solution_set,
     backward_traversal,
     bench_instance,
     branch_and_bound_optimum,
@@ -33,7 +34,7 @@ from minwait import (
     compute_profile,
     consumption_operator,
     forward_move_delta,
-    full_solution_space,
+    forward_solution_set,
     initial_sequence,
     objective_delta,
     optimal_sort,
@@ -194,7 +195,7 @@ def test_criterion_04_relocation_gold_invariant(report):
         profile = compute_profile(inst, seq)
         for i in range(1, 13):
             for k in range(i + 1, 13):
-                ev = forward_move_delta(profile, inst, seq, i, k)
+                ev = forward_move_delta(profile, inst, i, k)
                 after = compute_profile(inst, apply_move(seq, i, k, FORWARD))
                 evaluations += 1
                 if ev.delta_total != after.objective - profile.objective:
@@ -202,7 +203,7 @@ def test_criterion_04_relocation_gold_invariant(report):
                 if ev.new_wait != after.waits[k - 1]:
                     problems.append(f"forward wait off at ({i},{k}) on {inst}")
             for k in range(1, i):
-                ev = backward_move_delta(profile, inst, seq, i, k)
+                ev = backward_move_delta(profile, inst, i, k)
                 after = compute_profile(inst, apply_move(seq, i, k, BACKWARD))
                 evaluations += 1
                 if ev.delta_total != after.objective - profile.objective:
@@ -224,15 +225,16 @@ def test_criterion_05_solution_space_completeness(report):
         inst = _benchmark_instance(rng, 9)
         seq = initial_sequence(inst)
         profile = compute_profile(inst, seq)
-        space = full_solution_space(profile, inst, seq)
         for i in range(1, 10):
+            forward = forward_solution_set(profile, inst, i)
             for k in range(i + 1, 10):
                 after = compute_profile(inst, apply_move(seq, i, k, FORWARD))
-                if after.objective < profile.objective and k not in space.forward[i]:
+                if after.objective < profile.objective and k not in forward:
                     problems.append(f"improving forward ({i},{k}) outside space on {inst}")
+            backward = backward_solution_set(profile, inst, i)
             for k in range(1, i):
                 after = compute_profile(inst, apply_move(seq, i, k, BACKWARD))
-                if after.objective < profile.objective and k not in space.backward[i]:
+                if after.objective < profile.objective and k not in backward:
                     problems.append(f"improving backward ({i},{k}) outside space on {inst}")
     report(5, "solution-space completeness", problems, "200 instances, n=9")
 

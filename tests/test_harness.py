@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import minwait
 from minwait import (
     Instance,
     audit_instance,
@@ -15,6 +20,7 @@ from minwait import (
     mine_counterexamples,
     parse_instance,
     run_benchmark,
+    serialize_instance,
 )
 from minwait.harness import BNB_PROVEN_LIMIT
 
@@ -133,6 +139,23 @@ def test_cli_gen_to_file(tmp_path, capsys):
     assert cli_main(["gen", "--n", "4", "--seed", "9", "--out", str(out)]) == 0
     capsys.readouterr()
     assert parse_instance(out.read_text()).n == 4
+
+
+def test_cli_runs_as_module(tmp_path):
+    out = tmp_path / "x.txt"
+    package_root = str(Path(minwait.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    args = ["gen", "--n", "5", "--seed", "1", "--out", str(out)]
+    completed = subprocess.run(
+        [sys.executable, "-m", "minwait.harness", *args],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert out.read_text(encoding="utf-8") == serialize_instance(generate_instance(5, 1))
 
 
 def test_cli_oracle(tmp_path, capsys):

@@ -66,11 +66,10 @@ def audit(cache) -> None:
     for order, profile in cache._profiles.items():
         assert profile == compute_profile(inst, Sequence(order=order))
     for (direction, order), rows in cache._spaces.items():
-        seq = Sequence(order=order)
-        profile = compute_profile(inst, seq)
+        profile = compute_profile(inst, Sequence(order=order))
         solution_set = forward_solution_set if direction == FORWARD else backward_solution_set
         assert rows == tuple(
-            tuple(sorted(solution_set(profile, inst, seq, i), reverse=direction == BACKWARD))
+            tuple(sorted(solution_set(profile, inst, i), reverse=direction == BACKWARD))
             for i in range(1, inst.n + 1)
         )
     for (rule, jobs, entry_time, flow_in), block in cache._blocks.items():

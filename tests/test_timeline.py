@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -73,7 +74,7 @@ def test_classify_adjacent_reference(reference):
     seq = Sequence(order=(1, 2, 3, 4, 5))
     profile = compute_profile(reference, seq)
     # max(0,0)+5 = 5 >= max(0,2) = 2
-    assert classify_adjacent(profile, reference, seq, 1) == FCFS_CONSISTENT
+    assert classify_adjacent(profile, reference, 1) == FCFS_CONSISTENT
 
 
 def test_classify_adjacent_swapped_pair():
@@ -82,7 +83,7 @@ def test_classify_adjacent_swapped_pair():
     profile = compute_profile(inst, seq)
     assert profile.waits == (0, 0, 4)
     # jobs (3,2) at positions (2,3): r3 > r2 and 0+3 < 4
-    assert classify_adjacent(profile, inst, seq, 2) == LCFS_SWAPPED
+    assert classify_adjacent(profile, inst, 2) == LCFS_SWAPPED
 
 
 def test_classify_adjacent_equal_releases():
@@ -91,16 +92,16 @@ def test_classify_adjacent_equal_releases():
         seq = Sequence(order=order)
         profile = compute_profile(inst, seq)
         for k in (1, 2):
-            assert classify_adjacent(profile, inst, seq, k) == FCFS_CONSISTENT
+            assert classify_adjacent(profile, inst, k) == FCFS_CONSISTENT
 
 
 def test_classify_adjacent_rejects_foreign_profile(reference):
-    seq = Sequence(order=(1, 2, 3, 4, 5))
-    other = Sequence(order=(5, 4, 3, 2, 1))
-    profile = compute_profile(reference, seq)
+    profile = compute_profile(reference, Sequence(order=(1, 2, 3, 4, 5)))
+    # the waits of (1, 2, 3, 4, 5) relabelled with another order
+    foreign = dataclasses.replace(profile, order=(5, 4, 3, 2, 1))
     with pytest.raises(EngineInvariantError):
         for k in range(1, 5):
-            classify_adjacent(profile, reference, other, k)
+            classify_adjacent(foreign, reference, k)
 
 
 def test_recursion_matches_simulation_corpus():
@@ -127,7 +128,7 @@ def test_pair_inequalities_hold_on_corpus():
         seq = random_sequence(rng, inst.n)
         profile = compute_profile(inst, seq)
         for k in range(1, inst.n):
-            tag = classify_adjacent(profile, inst, seq, k)
+            tag = classify_adjacent(profile, inst, k)
             assert tag in (FCFS_CONSISTENT, LCFS_SWAPPED)
 
 
@@ -213,7 +214,7 @@ def _paper_pair_cells(inst: Instance, seq: Sequence) -> set[tuple[bool, bool, bo
             p0 += inst.p(a)
         ordered = inst.r(a) <= inst.r(b)
         expected_tag = FCFS_CONSISTENT if ordered else LCFS_SWAPPED
-        assert classify_adjacent(profile, inst, seq, i) == expected_tag
+        assert classify_adjacent(profile, inst, i) == expected_tag
         cells.add((w_i > 0, w_next > 0, ordered))
     return cells
 
