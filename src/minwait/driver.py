@@ -11,21 +11,34 @@ strictly decreases across passes and termination is guaranteed; a safety
 valve still caps passes at n^2 and reports instead of hanging.
 
 The rules see only a block: its jobs, its entry time and the flow it
-receives. The driver slices each block out of the moved sequence and
-splices the reworked jobs back in. Both amounts a pipeline hands on are
-completion differences: the handoff is the new completion of the span the
-move reorders minus its old one, and the idle shift is the reworked block's
-completion minus the moved block's, both replayed from the same entry.
+receives. The driver slices each block out of the moved order and splices
+the reworked jobs back in. Both amounts a pipeline hands on are completion
+differences: the handoff is the new completion of the span the move
+reorders minus its old one, and the idle shift is the reworked block's
+completion minus the moved block's, both replayed from the rule's realized
+entry (the entry time minus the flow for bottleneck breakthrough, plus the
+flow for adjacent exchange). The idle shift is computed once per distinct
+rule call, next to the rule's result, and handed back with every repeat.
 
 The consumption operator (forward) and the backward traversal share one
 best-improvement loop; only the pipeline and the visit order differ.
+Candidates are plain tuples inside a solve. ``apply_move`` builds the one
+validated ``Sequence`` of each pipeline; otherwise a ``Sequence`` is built
+only for an adopted incumbent and for each outer candidate handed to the
+consumption operator.
 
 One private cache lives for the duration of a solve and serves three kinds
 of pure results, each keyed by exact integers so that a hit returns what a
-recomputation would: the objective of an order; the solution space of an
-order in one direction (its profile and its sorted solution sets); and the
-reworked block of a rule call, keyed by the rule, the block's jobs, its
-entry time and the flow it receives, which is everything a rule reads.
+recomputation would:
+  * the objective of an order, scored by an allocation-free replay;
+  * the solution space of an incumbent in one direction: its one full
+    profile and its sorted solution sets;
+  * the result of a rule call, keyed by the rule, the block's jobs, its
+    entry time and the flow it receives, which is everything a rule reads.
+    The entry holds the reworked block and its idle shift, or a marker
+    when the rule left the block as it was. A reworked block is checked to
+    be a reordering of its jobs when it is computed, so a hit replays a
+    checked block.
 Inside one solve most rule calls and solution-set computations repeat
 exactly, because the nested searches revisit the same incumbents and the
 same blocks. The cache stops there on purpose: every pipeline still applies
@@ -52,7 +65,13 @@ from .move_calculus import (
 )
 from .rules import adjacent_exchange, bottleneck_breakthrough
 from .solution_sets import backward_solution_set, forward_solution_set
-from .timeline import WaitingProfile, compute_profile, segment_completion
+from .timeline import (
+    EngineInvariantError,
+    WaitingProfile,
+    compute_profile,
+    segment_completion,
+    segment_cost,
+)
 
 # Not called here; the benchmark tracer wraps each of these names in this module.
 from .move_calculus import backward_move_delta, forward_move_delta, idle_adjustment  # noqa: F401
@@ -71,6 +90,10 @@ class SolveResult:
     safety_tripped: bool
 
 
+# Block-rule cache entry of a rule call that left its block as it was.
+_UNCHANGED = object()
+
+
 class _SolveCache:
     """Per-solve memo of objectives, solution spaces and block-rule results."""
 
@@ -80,14 +103,16 @@ class _SolveCache:
         self._profiles: dict[tuple[int, ...], WaitingProfile] = {}
         # (direction, order) -> the solution set of each position, in visit order
         self._spaces: dict[tuple[str, tuple[int, ...]], tuple[tuple[int, ...], ...]] = {}
-        # (rule, block jobs, entry_time, flow_in) -> reworked block
-        self._blocks: dict[tuple[Callable, tuple[int, ...], int, int], tuple[int, ...]] = {}
+        # (rule, block jobs, entry_time, flow_in) -> (reworked block, idle shift), or _UNCHANGED
+        self._blocks: dict[tuple[Callable, tuple[int, ...], int, int], object] = {}
 
-    def objective(self, seq: Sequence) -> int:
-        cached = self._objectives.get(seq.order)
+    def objective(self, order: tuple[int, ...]) -> int:
+        cached = self._objectives.get(order)
         if cached is None:
-            cached = compute_profile(self.inst, seq).objective
-            self._objectives[seq.order] = cached
+            if len(order) != self.inst.n:
+                raise ValueError("sequence length does not match instance")
+            cached = segment_cost(self.inst, order, self.inst.r(order[0]))
+            self._objectives[order] = cached
         return cached
 
     def space(
@@ -115,30 +140,45 @@ class _SolveCache:
         return profile, rows
 
     def rework(
-        self, seq: Sequence, start: int, stop: int, rule: Callable, flow_in: int, entry_time: int
-    ) -> Sequence:
-        """``seq`` with positions start..stop reworked by ``rule``; ``seq`` itself if unchanged."""
-        jobs = seq.order[start - 1 : stop]
+        self,
+        order: tuple[int, ...],
+        start: int,
+        stop: int,
+        rule: Callable,
+        flow_in: int,
+        entry_time: int,
+    ) -> tuple[tuple[int, ...], int]:
+        """``order`` with positions start..stop reworked by ``rule``, and the idle shift.
+
+        The idle shift is the reworked block's completion minus the original
+        block's, both replayed from the rule's realized entry: ``entry_time``
+        minus the flow for bottleneck breakthrough, plus it for adjacent
+        exchange. An unchanged block returns ``order`` itself and 0.
+        """
+        jobs = order[start - 1 : stop]
         key = (rule, jobs, entry_time, flow_in)
-        block = self._blocks.get(key)
-        if block is None:
+        entry = self._blocks.get(key)
+        if entry is None:
             block, _ = rule(self.inst, jobs, entry_time, flow_in)
-            self._blocks[key] = block
-        if block == jobs:
-            return seq
-        return Sequence(order=seq.order[: start - 1] + block + seq.order[stop:])
-
-
-def _idle_shift(
-    inst: Instance, before: Sequence, after: Sequence, start: int, stop: int, entry: int
-) -> int:
-    """Downstream entry shift from reworking positions start..stop, entered at ``entry``."""
-    if after is before:
-        return 0
-    block = slice(start - 1, stop)
-    return segment_completion(inst, after.order[block], entry) - segment_completion(
-        inst, before.order[block], entry
-    )
+            if block == jobs:
+                entry = _UNCHANGED
+            elif sorted(block) != sorted(jobs):
+                raise EngineInvariantError(f"rule returned {block}, not a reordering of {jobs}")
+            else:
+                realized = (
+                    entry_time - flow_in
+                    if rule is bottleneck_breakthrough
+                    else entry_time + flow_in
+                )
+                shift = segment_completion(self.inst, block, realized) - segment_completion(
+                    self.inst, jobs, realized
+                )
+                entry = (block, shift)
+            self._blocks[key] = entry
+        if entry is _UNCHANGED:
+            return order, 0
+        block, shift = entry
+        return order[: start - 1] + block + order[stop:], shift
 
 
 def _forward_pipeline(
@@ -148,8 +188,8 @@ def _forward_pipeline(
     i: int,
     k: int,
     whole_exchange: bool = False,
-) -> Sequence:
-    """Candidate sequence for "move position i after position k" plus rule work.
+) -> tuple[int, ...]:
+    """Candidate order for "move position i after position k" plus rule work.
 
     The rising block after position k receives the move's handoff (the
     completion shift at position k) plus the idle shift of the reworked
@@ -157,14 +197,13 @@ def _forward_pipeline(
     """
     inst = cache.inst
     moved = apply_move(seq, i, k, FORWARD)
-    mover = seq.job_at(i)
-    flow_drop = inst.p(mover) - min(0, profile.wait_at(i))
-    block_entry = profile.completions[i - 1]
-    reworked = cache.rework(moved, i, k - 1, bottleneck_breakthrough, flow_drop, block_entry)
+    flow_drop = inst.p(seq.job_at(i)) - min(0, profile.wait_at(i))
+    reworked, shift = cache.rework(
+        moved.order, i, k - 1, bottleneck_breakthrough, flow_drop, profile.completions[i - 1]
+    )
     if k < inst.n:
-        shift = _idle_shift(inst, moved, reworked, i, k - 1, block_entry - flow_drop)
         handoff = relocation_handoff(profile, inst, moved, i, k)
-        reworked = cache.rework(
+        reworked, _ = cache.rework(
             reworked,
             k + 1,
             inst.n,
@@ -173,16 +212,14 @@ def _forward_pipeline(
             profile.completions[k - 1],
         )
     if whole_exchange:
-        reworked = cache.rework(
-            reworked, 1, inst.n, adjacent_exchange, 0, inst.r(reworked.order[0])
-        )
+        reworked, _ = cache.rework(reworked, 1, inst.n, adjacent_exchange, 0, inst.r(reworked[0]))
     return reworked
 
 
 def _backward_pipeline(
     cache: _SolveCache, seq: Sequence, profile: WaitingProfile, i: int, k: int
-) -> Sequence:
-    """Candidate sequence for "move position i before position k" plus rule work.
+) -> tuple[int, ...]:
+    """Candidate order for "move position i before position k" plus rule work.
 
     The falling block after position i receives the move's handoff (the
     completion shift at position i) minus the idle shift of the reworked
@@ -192,11 +229,10 @@ def _backward_pipeline(
     moved = apply_move(seq, i, k, BACKWARD)
     seed = insertion_seed(profile, inst, i, k)
     block_entry = profile.completions[k - 2] if k >= 2 else profile.entry_time
-    reworked = cache.rework(moved, k + 1, i, adjacent_exchange, seed, block_entry)
+    reworked, shift = cache.rework(moved.order, k + 1, i, adjacent_exchange, seed, block_entry)
     if i < inst.n:
-        shift = _idle_shift(inst, moved, reworked, k + 1, i, block_entry + seed)
         handoff = relocation_handoff(profile, inst, moved, i, k)
-        reworked = cache.rework(
+        reworked, _ = cache.rework(
             reworked,
             i + 1,
             inst.n,
@@ -219,10 +255,10 @@ def _exhaust(cache: _SolveCache, seq: Sequence, direction: str) -> Sequence:
     else:
         pipeline, positions = _backward_pipeline, range(cache.inst.n, 0, -1)
     best = seq
-    best_objective = cache.objective(seq)
+    best_objective = cache.objective(seq.order)
     while True:
         profile, rows = cache.space(best, direction)
-        round_best: Sequence | None = None
+        round_best: tuple[int, ...] | None = None
         round_objective = best_objective
         for i in positions:
             for k in rows[i - 1]:
@@ -233,7 +269,7 @@ def _exhaust(cache: _SolveCache, seq: Sequence, direction: str) -> Sequence:
                     round_best = candidate
         if round_best is None:
             return best
-        best, best_objective = round_best, round_objective
+        best, best_objective = Sequence(order=round_best), round_objective
 
 
 def consumption_operator(
@@ -261,7 +297,7 @@ def optimal_sort(inst: Instance) -> SolveResult:
     started = time.perf_counter()
     cache = _SolveCache(inst)
     current = initial_sequence(inst)
-    current_objective = cache.objective(current)
+    current_objective = cache.objective(current.order)
     move_log: list[tuple[int, str, int, int, int]] = []
     safety_tripped = False
     passes = 0
@@ -277,13 +313,13 @@ def optimal_sort(inst: Instance) -> SolveResult:
         best_move = (0, 0)
         for i, row in enumerate(anchors, start=1):
             for k in row:
-                staged = _forward_pipeline(
+                candidate = _forward_pipeline(
                     cache, current, profile, i, k, whole_exchange=(k == inst.n and passes == 0)
                 )
-                staged = consumption_operator(staged, inst, cache)
+                staged = consumption_operator(Sequence(order=candidate), inst, cache)
                 staged = backward_traversal(staged, inst, cache)
                 staged = consumption_operator(staged, inst, cache)
-                objective = cache.objective(staged)
+                objective = cache.objective(staged.order)
                 if objective < best_objective:
                     best_objective = objective
                     best_candidate = staged

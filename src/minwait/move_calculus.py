@@ -13,6 +13,17 @@ completion-time shifts and cascade by the flow recursions. The seeds are
 the block-entry shifts; when the move touches the queue head the shift is
 measured against the new head's own release (the head of a queue always
 starts there), which is the only place the naive block formulas need care.
+
+In the paper's symbols, job i of a contiguous queue waits
+w_i = r_0^o + p_0^o - r_i, where r_0^o is the release of the queue's
+leader and p_0^o the processing from the leader up to i's predecessor.
+The leader starts at its release and the rest run back to back, so
+r_0^o + p_0^o is C_{i-1}, the completion of i's predecessor (C_0 is the
+entry time), and w_i = C_{i-1} - r_i. Hence every start is
+start_j = C_{j-1} - min(0, w_j), and the time a block frees up telescopes:
+sum over j = k..i-1 of (p_j - min(0, w_j)) equals C_{i-1} - C_{k-1}. A sum
+over a block is one difference of completions the profile already holds;
+``insertion_seed`` uses it for the displaced block's entry delay.
 """
 
 from __future__ import annotations
@@ -105,19 +116,16 @@ def forward_move_delta(profile: WaitingProfile, inst: Instance, i: int, k: int) 
 def insertion_seed(profile: WaitingProfile, inst: Instance, i: int, k: int) -> int:
     """Wait rise of the job at position k when the job at i lands before it.
 
-    For k >= 2 this is the block-entry delay the displaced jobs feel; when
-    the mover becomes the new queue head, the old head's rise is measured
-    from the mover's own completion (it starts at its own release).
+    For k >= 2 this is the block-entry delay the displaced jobs feel: the
+    mover now completes at max(C_{k-1}, r) + p instead of C_{k-1}. When the
+    mover becomes the new queue head, the old head's rise is measured from
+    the mover's own completion (it starts at its own release).
     """
     mover = profile.job_at(i)
+    release, processing = inst.r(mover), inst.p(mover)
     if k >= 2:
-        block_processing = sum(inst.p(profile.job_at(j)) for j in range(k, i))
-        block_idle = sum(min(0, profile.wait_at(j)) for j in range(k, i))
-        return max(
-            inst.p(mover),
-            block_processing + inst.p(mover) - block_idle - profile.wait_at(i),
-        )
-    return max(0, inst.r(mover) + inst.p(mover) - profile.entry_time)
+        return max(processing, release + processing - profile.completions[k - 2])
+    return max(0, release + processing - profile.entry_time)
 
 
 def backward_move_delta(profile: WaitingProfile, inst: Instance, i: int, k: int) -> MoveEvaluation:
@@ -184,10 +192,12 @@ def apply_move(seq: Sequence, i: int, k: int, direction: str) -> Sequence:
             raise ValueError(f"backward move needs 1 <= k < i <= {n}, got i={i}, k={k}")
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    order = list(seq.order)
-    job = order.pop(i - 1)
-    order.insert(k - 1, job)
-    return Sequence(order=tuple(order))
+    order = seq.order
+    if direction == FORWARD:
+        moved = order[: i - 1] + order[i:k] + order[i - 1 : i] + order[k:]
+    else:
+        moved = order[: k - 1] + order[i - 1 : i] + order[k - 1 : i - 1] + order[i:]
+    return Sequence(order=moved)
 
 
 def idle_adjustment(before: WaitingProfile, after: WaitingProfile) -> int:

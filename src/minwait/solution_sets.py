@@ -44,18 +44,22 @@ def backward_solution_set(profile: WaitingProfile, inst: Instance, i: int) -> fr
     second clause is what makes the family complete: improving insertions
     past the crossing exist, rarely, when consuming deeper idle pays for
     the displaced block's extra waiting.
+
+    The freed-up time of s steps telescopes to C_{i-1} - C_{i-1-s}, and
+    w_i = C_{i-1} - r_i, so j* is the smallest s with C_{i-1-s} <= r_i
+    (C_0 is the entry time): walking back from i, the first completion no
+    later than i's release.
     """
     if not 1 <= i <= inst.n:
         raise ValueError(f"position {i} out of range 1..{inst.n}")
     w_i = profile.wait_at(i)
     if w_i <= 0:
         return frozenset()
+    release = inst.r(profile.job_at(i))
+    completions = (profile.entry_time,) + profile.completions
     crossing = i - 1
-    cumulative = 0
     for steps in range(1, i):
-        j = i - steps
-        cumulative += inst.p(profile.job_at(j)) - min(0, profile.wait_at(j))
-        if w_i <= cumulative:
+        if completions[i - 1 - steps] <= release:
             crossing = steps
             break
     members = set(range(i - crossing, i))

@@ -18,7 +18,7 @@ from minwait import (
     idle_adjustment,
     segment_profile,
 )
-from minwait.move_calculus import relocation_handoff
+from minwait.move_calculus import insertion_seed, relocation_handoff
 
 from conftest import random_instance, random_sequence
 
@@ -144,6 +144,47 @@ def test_apply_move_inverse(n, data):
     # (now holding the job that followed it) restores the original order
     back = apply_move(there, k, i, BACKWARD)
     assert back.order == seq.order
+
+
+def two_sum_seed(profile, inst, i, k):
+    """insertion_seed for k >= 2 in its block-sum form: processing and idle over k..i-1."""
+    mover = profile.job_at(i)
+    block_processing = sum(inst.p(profile.job_at(j)) for j in range(k, i))
+    block_idle = sum(min(0, profile.wait_at(j)) for j in range(k, i))
+    return max(
+        inst.p(mover), block_processing + inst.p(mover) - block_idle - profile.wait_at(i)
+    )
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_insertion_seed_is_the_displaced_jobs_wait_rise(data):
+    n = data.draw(st.integers(3, 9), label="n")
+    offset, unit = data.draw(st.sampled_from([(0, 1), (10**12, 1), (10**12, 10**10)]))
+    release = data.draw(st.lists(st.integers(0, 300), min_size=n, max_size=n))
+    processing = data.draw(st.lists(st.integers(1, 50), min_size=n, max_size=n))
+    inst = Instance(
+        n=n,
+        release=tuple(offset + r * unit for r in release),
+        processing=tuple(p * unit for p in processing),
+    )
+    seq = Sequence(order=tuple(data.draw(st.permutations(range(1, n + 1)), label="order")))
+    if data.draw(st.booleans(), label="segment"):
+        entry = offset + data.draw(st.integers(0, 400)) * unit
+        profile = segment_profile(inst, seq.order, entry)
+    else:
+        entry = None
+        profile = compute_profile(inst, seq)
+    i = data.draw(st.integers(3, n), label="i")
+    k = data.draw(st.integers(2, i - 1), label="k")
+    moved = apply_move(seq, i, k, BACKWARD)
+    after = (
+        compute_profile(inst, moved) if entry is None else segment_profile(inst, moved.order, entry)
+    )
+    seed = insertion_seed(profile, inst, i, k)
+    # the job that held position k now sits at k+1, behind the mover
+    assert seed == after.wait_at(k + 1) - profile.wait_at(k)
+    assert seed == two_sum_seed(profile, inst, i, k)
 
 
 def test_idle_adjustment_identity(reference):

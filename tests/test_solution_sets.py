@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from minwait import (
     compute_profile,
     forward_move_delta,
     forward_solution_set,
+    segment_profile,
 )
 
 from conftest import random_instance
@@ -136,6 +138,55 @@ def test_backward_completeness_on_shuffled_orders(regime):
                     improving += 1
                     assert k in backward, (inst, seq, i, k)
     assert improving > 1000
+
+
+def running_sum_backward_set(profile, inst, i):
+    """backward_solution_set with j* found by walking the freed-up time back from i."""
+    w_i = profile.wait_at(i)
+    if w_i <= 0:
+        return frozenset()
+    crossing = i - 1
+    cumulative = 0
+    for steps in range(1, i):
+        j = i - steps
+        cumulative += inst.p(profile.job_at(j)) - min(0, profile.wait_at(j))
+        if w_i <= cumulative:
+            crossing = steps
+            break
+    members = set(range(i - crossing, i))
+    for k in range(1, i - crossing):
+        if backward_move_delta(profile, inst, i, k).delta_total < 0:
+            members.add(k)
+    return frozenset(members)
+
+
+def test_backward_crossing_by_completions_equals_the_running_sum_walk():
+    # the walk's running sum after s steps is C_{i-1} - C_{i-1-s}, so both
+    # ways of finding j* give the same set, on whole-queue and segment profiles
+    rng = random.Random(33)
+    waiting = 0
+    # crowded (spread 3 per job) and idle-rich (60) releases, small and around 1e12
+    scales = ((0, 1), (10**12, 1), (10**12, 10**10))
+    for (offset, unit), spread in itertools.product(scales, (3, 60)):
+        for _ in range(40):
+            n = rng.randint(2, 10)
+            inst = Instance(
+                n=n,
+                release=tuple(offset + rng.randint(0, spread * n) * unit for _ in range(n)),
+                processing=tuple(rng.randint(1, 50) * unit for _ in range(n)),
+            )
+            order = list(range(1, n + 1))
+            rng.shuffle(order)
+            entry = offset + rng.randint(0, 2 * spread * n) * unit
+            for profile in (
+                compute_profile(inst, Sequence(order=tuple(order))),
+                segment_profile(inst, tuple(order), entry),
+            ):
+                for i in range(1, n + 1):
+                    waiting += profile.wait_at(i) > 0
+                    expected = running_sum_backward_set(profile, inst, i)
+                    assert backward_solution_set(profile, inst, i) == expected, (inst, order, i)
+    assert waiting > 1000
 
 
 @pytest.mark.xfail(strict=True, reason="forward sets miss improving moves of queue leaders")

@@ -1,12 +1,14 @@
 """The driver's per-solve cache returns exactly what a recomputation would.
 
 A solve records, in one private cache, objectives by order, the solution
-space of each incumbent in each direction, and the reworked block of each
-rule call keyed by (rule, block jobs, entry time, flow in). These tests
-audit every entry a few solves leave behind against a fresh computation,
-check that the cache splices a reworked block into its own positions only,
-and pin how many rule calls still reach ``minwait.rules`` on one golden
-instance.
+space of each incumbent in each direction, and the result of each rule call
+keyed by (rule, block jobs, entry time, flow in): the reworked block with
+its idle shift, or a marker for a block the rule left as it was. These
+tests audit every entry a few solves leave behind against a fresh
+computation, check that the cache splices a reworked block into its own
+positions only and rejects a rule output that is not a reordering of its
+block, and pin how many rule calls still reach ``minwait.rules`` on one
+golden instance.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import minwait.driver
 from minwait import (
     BACKWARD,
     FORWARD,
+    EngineInvariantError,
     Instance,
     Sequence,
     adjacent_exchange,
@@ -27,11 +30,13 @@ from minwait import (
     compute_profile,
     forward_solution_set,
     optimal_sort,
+    segment_completion,
 )
 
 from test_golden import golden_instance
 
 SolveCache = minwait.driver._SolveCache
+UNCHANGED = minwait.driver._UNCHANGED
 
 # Rule calls that reach minwait.rules during one solve of the golden
 # instance ("generated", 8, 0); the rest are answered by the cache.
@@ -72,22 +77,37 @@ def audit(cache) -> None:
             tuple(sorted(solution_set(profile, inst, i), reverse=direction == BACKWARD))
             for i in range(1, inst.n + 1)
         )
-    for (rule, jobs, entry_time, flow_in), block in cache._blocks.items():
+    for (rule, jobs, entry_time, flow_in), entry in cache._blocks.items():
         assert rule in (adjacent_exchange, bottleneck_breakthrough)
-        assert block == rule(inst, jobs, entry_time, flow_in)[0]
+        block = rule(inst, jobs, entry_time, flow_in)[0]
+        if entry is UNCHANGED:
+            assert block == jobs
+            continue
+        assert entry[0] == block != jobs
+        # the idle shift is measured from the rule's realized entry
+        realized = entry_time - flow_in if rule is bottleneck_breakthrough else entry_time + flow_in
+        assert entry[1] == segment_completion(inst, block, realized) - segment_completion(
+            inst, jobs, realized
+        )
 
 
 @pytest.mark.parametrize("crowded", [True, False], ids=["crowded", "idle-rich"])
 def test_every_cache_entry_matches_a_fresh_computation(monkeypatch, crowded):
     rng = random.Random(71 if crowded else 72)
     entries = 0
+    shifts = {adjacent_exchange: set(), bottleneck_breakthrough: set()}
     for n in (6, 7, 7, 8):
         (cache,) = solve_keeping_caches(monkeypatch, regime_instance(rng, n, crowded))
         audit(cache)
         assert {direction for direction, _ in cache._spaces} == {FORWARD, BACKWARD}
         assert cache._blocks
         entries += len(cache._blocks)
+        for (rule, *_), entry in cache._blocks.items():
+            if entry is not UNCHANGED:
+                shifts[rule].add(entry[1])
     assert entries >= 100
+    # the audit saw nonzero shifts from both rules, not only zeros
+    assert all(values - {0} for values in shifts.values())
 
 
 def test_rework_touches_only_its_block():
@@ -95,22 +115,32 @@ def test_rework_touches_only_its_block():
     inst = Instance(n=5, release=(0, 20, 104, 60, 150), processing=(4, 5, 30, 3, 2))
     cache = SolveCache(inst)
     for _ in range(2):
-        assert cache.rework(
-            Sequence(order=(1, 2, 3, 4, 5)), 2, 4, bottleneck_breakthrough, 50, 100
-        ).order == (1, 2, 4, 3, 5)
+        order, _ = cache.rework((1, 2, 3, 4, 5), 2, 4, bottleneck_breakthrough, 50, 100)
+        assert order == (1, 2, 4, 3, 5)
 
     inst = Instance(n=4, release=(0, 1, 2, 300), processing=(9, 5, 3, 1))
     cache = SolveCache(inst)
     for _ in range(2):
-        out = cache.rework(Sequence(order=(1, 2, 3, 4)), 1, 3, adjacent_exchange, 0, 0)
-        assert out.order == adjacent_exchange(inst, (1, 2, 3), 0, 0)[0] + (4,) == (2, 3, 1, 4)
+        out, _ = cache.rework((1, 2, 3, 4), 1, 3, adjacent_exchange, 0, 0)
+        assert out == adjacent_exchange(inst, (1, 2, 3), 0, 0)[0] + (4,) == (2, 3, 1, 4)
 
     # the longer job leads, but swapping strands it behind a late release
     inst = Instance(n=3, release=(0, 100, 0), processing=(5, 1, 2))
-    seq = Sequence(order=(3, 1, 2))
+    order = (3, 1, 2)
     cache = SolveCache(inst)
     for _ in range(2):
-        assert cache.rework(seq, 2, 3, adjacent_exchange, 0, 2) is seq
+        out, shift = cache.rework(order, 2, 3, adjacent_exchange, 0, 2)
+        assert out is order and shift == 0
+
+
+def test_rework_rejects_a_block_that_is_not_a_reordering():
+    inst = Instance(n=3, release=(0, 0, 0), processing=(3, 2, 1))
+
+    def duplicating(inst, block, entry_time, flow_in):
+        return (block[0],) * len(block), 0
+
+    with pytest.raises(EngineInvariantError):
+        SolveCache(inst).rework((1, 2, 3), 1, 3, duplicating, 0, 0)
 
 
 def test_cache_lives_for_one_solve(monkeypatch, reference):
