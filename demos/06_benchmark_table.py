@@ -1,8 +1,8 @@
 """A small benchmark table: solver vs oracle across sizes.
 
-Brute force audits up to n=11, branch and bound beyond. Zero gap on every
-row is the expected outcome; anything else would be a counterexample worth
-mining (see `minwait mine`).
+Branch and bound proves the optimum of every row (it is the oracle up to
+n=40). Zero gap on every row is the expected outcome; anything else would
+be a counterexample worth mining (see `minwait mine`).
 """
 
 from minwait import run_benchmark

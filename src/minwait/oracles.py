@@ -159,16 +159,15 @@ def branch_and_bound_optimum(
     inst: Instance,
     node_limit: int | None = None,
     time_limit_ms: int | None = None,
-    dominance: bool = True,
 ) -> OracleResult:
     """Exact optimum by depth-first search with the preemptive bound.
 
     States are pruned on (a) bound >= incumbent, (b) an already-seen
-    unscheduled set reachable no later and no more expensively, and, when
-    ``dominance`` is on, (c) branching on a job some other unscheduled job
-    could finish before it even starts (delaying nothing, a strict win for
-    the inserted job). Limits turn the result into a best-effort incumbent
-    with proved_optimal False.
+    unscheduled set reachable no later and no more expensively, and (c)
+    branching on a job some other unscheduled job could finish before it
+    even starts (delaying nothing, a strict win for the inserted job).
+    Limits turn the result into a best-effort incumbent with proved_optimal
+    False.
 
     Children are visited earliest-start-first (ties: shorter, then lower
     id). The search keeps an explicit stack of the nodes whose children are
@@ -241,26 +240,23 @@ def branch_and_bound_optimum(
             return None
         ready = bisect_right(remaining, free_at, key=start_key)
         released = remaining[:ready]
-        if not dominance:
-            later = remaining[ready:]
+        # keep only jobs that start before the earliest finish of any job;
+        # past the first release at or after it, no job can start before it
+        # or finish sooner, so the scan stops there
+        if released:
+            earliest_finish = free_at + min(map(processing.__getitem__, released))
         else:
-            # keep only jobs that start before the earliest finish of any
-            # job; past the first release at or after it, no job can start
-            # before it or finish sooner, so the scan stops there
-            if released:
-                earliest_finish = free_at + min(map(processing.__getitem__, released))
-            else:
-                first = remaining[0]
-                earliest_finish = release[first] + processing[first]
-            stop = ready
-            for job in remaining[ready:]:
-                r = release[job]
-                if r >= earliest_finish:
-                    break
-                if r + processing[job] < earliest_finish:
-                    earliest_finish = r + processing[job]
-                stop += 1
-            later = remaining[ready:stop]
+            first = remaining[0]
+            earliest_finish = release[first] + processing[first]
+        stop = ready
+        for job in remaining[ready:]:
+            r = release[job]
+            if r >= earliest_finish:
+                break
+            if r + processing[job] < earliest_finish:
+                earliest_finish = r + processing[job]
+            stop += 1
+        later = remaining[ready:stop]
         released.sort(key=released_key)
         later.sort(key=later_key)
         return released + later

@@ -1,11 +1,16 @@
 """The waiting-time engine.
 
-A job's signed waiting time is (completion time of its predecessor) minus
-(its own release). Positive means the job sits in a contiguous queue behind
-its predecessor; w <= 0 means the machine went idle and the job leads a new
-contiguous queue, starting at its own release. Machine idle inserted right
-before position k is exactly -min(0, w_k), and the objective only counts
-the positive part: sum of max(0, w).
+In the paper's symbols, job i's signed waiting time is
+w_i = r_0^o + p_0^o - r_i, where r_0^o is the release of the last queue
+leader before i and p_0^o the processing from it through i-1: the
+predecessor's completion minus i's own release. Positive means the job
+sits in a contiguous queue behind its predecessor; w_i <= 0 means the
+machine went idle and the job leads a new contiguous queue, starting at its
+own release. So w_{i+1} = r_0^o + p_0^o + p_i - r_{i+1} when w_i > 0, and
+w_{i+1} = r_i^o + p_i - r_{i+1} with r_i^o = r_i (job i leads) when
+w_i <= 0. Machine idle inserted right before position k is exactly
+-min(0, w_k), and the objective only counts the positive part: sum of
+max(0, w_i).
 
 Whole-queue profiles pin the first position's wait to 0 (equivalent to an
 entry time equal to the first job's release). Segment profiles take the
@@ -131,8 +136,12 @@ LCFS_SWAPPED = "lcfs-swapped"
 def classify_adjacent(profile: WaitingProfile, inst: Instance, k: int) -> str:
     """Tag the adjacent pair (k, k+1) by release order and assert its inequality.
 
-    Release order r_k <= r_{k+1} forces max(0,w_k) + p_k >= max(0,w_{k+1});
-    the swapped order forces the strict opposite. A mismatch means the
+    The paper's adjacent-pair proposition with i = k: by the module
+    docstring's two cases, max(0,w_k) + p_k and w_{k+1} are job k's
+    completion minus r_k and minus r_{k+1}. So release order
+    r_k <= r_{k+1} (first come, first served) forces
+    max(0,w_k) + p_k >= max(0,w_{k+1}); the swapped order (first come, last
+    served) forces the strict opposite. A mismatch means the
     profile was not produced by this engine for its own order.
     """
     if not 1 <= k <= profile.n - 1:

@@ -13,6 +13,7 @@ from minwait import (
     Instance,
     audit_instance,
     bench_instance,
+    brute_force_optimum,
     cli_main,
     compute_profile,
     generate_instance,
@@ -42,7 +43,7 @@ def test_benchmark_deterministic_content():
     first = run_benchmark([6, 7], count=3, seed=11)
     second = run_benchmark([6, 7], count=3, seed=11)
     assert first.to_dict(include_timing=False) == second.to_dict(include_timing=False)
-    assert first.rows[0].oracle_method == "brute"
+    assert first.rows[0].oracle_method == "bnb"
     assert first.rows[0].mismatches == 0
     assert first.rows[0].mean_gap_pct == 0.0
 
@@ -54,11 +55,14 @@ def test_benchmark_empty_count():
     assert report.to_text().count("\n") >= 3
 
 
-def test_benchmark_oracle_selection():
-    report = run_benchmark([BNB_PROVEN_LIMIT + 2], count=0, seed=1)
-    assert report.rows[0].oracle_method == "none"
-    with pytest.raises(ValueError):
-        run_benchmark([12], count=1, seed=1, oracle_method="brute")
+def test_benchmark_oracle_selection(tmp_path, capsys):
+    report = run_benchmark([BNB_PROVEN_LIMIT, BNB_PROVEN_LIMIT + 1], count=0, seed=1)
+    assert [row.oracle_method for row in report.rows] == ["bnb", "none"]
+    # an explicit brute-force request past its guard is a usage error
+    path = tmp_path / "n12.txt"
+    path.write_text(serialize_instance(generate_instance(12, 1)))
+    assert cli_main(["verify", str(path), "--method", "brute"]) == 1
+    assert "brute force infeasible" in capsys.readouterr().err
 
 
 def test_benchmark_text_table():
@@ -76,15 +80,16 @@ def test_audit_passes_exact_solver():
 
 def test_audit_rejects_oversize():
     with pytest.raises(ValueError):
-        audit_instance(generate_instance(12, 1))
+        audit_instance(generate_instance(BNB_PROVEN_LIMIT + 1, 1))
 
 
-def test_miner_finds_and_shrinks_with_weak_solver():
-    found = mine_counterexamples(6, 40, seed=77, solver=lazy_solver)
+def _check_finds(found):
     assert found, "the identity solver must miss some optima"
     for case in found:
         assert case.reverify()
         inst = parse_instance(case.instance_text)
+        if inst.n <= 8:
+            assert case.oracle_objective == brute_force_optimum(inst).objective
         # local minimality: dropping any single job removes the mismatch
         if case.shrunk and inst.n > 1:
             for drop in range(1, inst.n + 1):
@@ -95,6 +100,15 @@ def test_miner_finds_and_shrinks_with_weak_solver():
                     processing=tuple(inst.processing[j - 1] for j in keep),
                 )
                 assert audit_instance(sub, solver=lazy_solver) is None
+
+
+def test_miner_finds_and_shrinks_with_weak_solver():
+    _check_finds(mine_counterexamples(6, 40, seed=77, solver=lazy_solver))
+
+
+def test_miner_past_brute_force_range():
+    # n=14 is beyond brute force; branch and bound proves every find
+    _check_finds(mine_counterexamples(14, 10, seed=77, solver=lazy_solver))
 
 
 def test_miner_clean_on_real_solver():
