@@ -5,7 +5,7 @@ n=40). Zero gap on every row is the expected outcome; anything else would
 be a counterexample worth mining (see `minwait mine`).
 """
 
-from minwait import run_benchmark
+from minwait.harness import run_benchmark
 
 
 def main() -> None:

@@ -3,15 +3,19 @@
 Minimizes total waiting (equivalently total completion time) of jobs with
 integer release and processing times on one machine, without preemption.
 The solver is a structured local search over single-job relocations with
-closed-form objective deltas; independent exact oracles, a benchmark
-harness, and a counterexample miner keep it honest.
+closed-form objective deltas; independent exact oracles keep it honest.
+
+The root exports the library: instances, the waiting profile of a queue,
+flow propagation, the move calculus, the solution sets, the two block
+rules, the solver and the oracles. The benchmark, the exactness audit, the
+counterexample miner and the command line live in ``minwait.harness``.
 """
 
 from .instances import (
     Instance,
     InstanceFormatError,
     Sequence,
-    derive_seed,
+    bench_instance,
     generate_instance,
     initial_sequence,
     parse_instance,
@@ -24,52 +28,21 @@ from .timeline import (
     WaitingProfile,
     classify_adjacent,
     compute_profile,
-    segment_completion,
     segment_cost,
     segment_profile,
 )
-from .propagation import (
-    DECREASE,
-    INCREASE,
-    FlowTrace,
-    objective_delta,
-    propagate_decrease,
-    propagate_increase,
-)
+from .propagation import objective_delta, propagate_decrease, propagate_increase
 from .move_calculus import (
     BACKWARD,
     FORWARD,
-    MoveEvaluation,
     apply_move,
     backward_move_delta,
     forward_move_delta,
-    idle_adjustment,
 )
 from .solution_sets import backward_solution_set, forward_solution_set
-from .rules import (
-    adjacent_exchange,
-    bottleneck_breakthrough,
-    certify_global,
-)
-from .driver import SolveResult, backward_traversal, consumption_operator, optimal_sort
-from .oracles import (
-    OracleResult,
-    auto_big_m,
-    branch_and_bound_optimum,
-    brute_force_optimum,
-    export_milp,
-    srpt_waiting_bound,
-)
-from .harness import (
-    BenchReport,
-    BenchRow,
-    Counterexample,
-    audit_instance,
-    bench_instance,
-    cli_main,
-    mine_counterexamples,
-    run_benchmark,
-)
+from .rules import adjacent_exchange, bottleneck_breakthrough, certify_global
+from .driver import optimal_sort
+from .oracles import branch_and_bound_optimum, brute_force_optimum, export_milp
 
 __version__ = "0.1.0"
 
@@ -77,7 +50,7 @@ __all__ = [
     "Instance",
     "InstanceFormatError",
     "Sequence",
-    "derive_seed",
+    "bench_instance",
     "generate_instance",
     "initial_sequence",
     "parse_instance",
@@ -88,43 +61,23 @@ __all__ = [
     "LCFS_SWAPPED",
     "classify_adjacent",
     "compute_profile",
-    "segment_completion",
     "segment_cost",
     "segment_profile",
-    "FlowTrace",
-    "DECREASE",
-    "INCREASE",
     "objective_delta",
     "propagate_decrease",
     "propagate_increase",
-    "MoveEvaluation",
     "FORWARD",
     "BACKWARD",
     "apply_move",
-    "backward_move_delta",
     "forward_move_delta",
-    "idle_adjustment",
-    "backward_solution_set",
+    "backward_move_delta",
     "forward_solution_set",
+    "backward_solution_set",
     "adjacent_exchange",
     "bottleneck_breakthrough",
     "certify_global",
-    "SolveResult",
-    "backward_traversal",
-    "consumption_operator",
     "optimal_sort",
-    "OracleResult",
-    "auto_big_m",
     "branch_and_bound_optimum",
     "brute_force_optimum",
     "export_milp",
-    "srpt_waiting_bound",
-    "BenchReport",
-    "BenchRow",
-    "Counterexample",
-    "audit_instance",
-    "bench_instance",
-    "cli_main",
-    "mine_counterexamples",
-    "run_benchmark",
 ]

@@ -11,7 +11,16 @@ strictly decreases across passes and termination is guaranteed; a safety
 valve still caps passes at n^2 and reports instead of hanging.
 
 The rules see only a block: its jobs, its entry time and the flow it
-receives. The driver slices each block out of the moved order and splices
+receives. In the paper's symbols a block's waits are
+w_j = r_0^o + p_0^o - r_j, where r_0^o + p_0^o starts at the block's entry
+time, the incumbent's completion just before the block, and a flow is a
+shift of that r_0^o + p_0^o at the block's entry: down by f_D into P_D, up
+by f_I into P_I. For a forward move of position i after position k, P_D is
+the displaced block (entry C_i, f_D = p_i - min(0, w_i), so it is realized
+from C_{i-1}) and P_I the tail after k (entry C_k). For a backward move of
+position i before position k, P_I is the displaced block (entry C_{k-1},
+f_I the mover's insertion delay) and P_D the tail after i (entry C_i).
+The driver slices each block out of the moved order and splices
 the reworked jobs back in. Both amounts a pipeline hands on are completion
 differences: the handoff is the new completion of the span the move
 reorders minus its old one, and the idle shift is the reworked block's
@@ -182,12 +191,7 @@ class _SolveCache:
 
 
 def _forward_pipeline(
-    cache: _SolveCache,
-    seq: Sequence,
-    profile: WaitingProfile,
-    i: int,
-    k: int,
-    whole_exchange: bool = False,
+    cache: _SolveCache, seq: Sequence, profile: WaitingProfile, i: int, k: int
 ) -> tuple[int, ...]:
     """Candidate order for "move position i after position k" plus rule work.
 
@@ -211,8 +215,6 @@ def _forward_pipeline(
             max(0, handoff + shift),
             profile.completions[k - 1],
         )
-    if whole_exchange:
-        reworked, _ = cache.rework(reworked, 1, inst.n, adjacent_exchange, 0, inst.r(reworked[0]))
     return reworked
 
 
@@ -313,9 +315,12 @@ def optimal_sort(inst: Instance) -> SolveResult:
         best_move = (0, 0)
         for i, row in enumerate(anchors, start=1):
             for k in row:
-                candidate = _forward_pipeline(
-                    cache, current, profile, i, k, whole_exchange=(k == inst.n and passes == 0)
-                )
+                candidate = _forward_pipeline(cache, current, profile, i, k)
+                if k == inst.n and passes == 0:
+                    # the first pass also exchanges the whole queue of a move to the end
+                    candidate, _ = cache.rework(
+                        candidate, 1, inst.n, adjacent_exchange, 0, inst.r(candidate[0])
+                    )
                 staged = consumption_operator(Sequence(order=candidate), inst, cache)
                 staged = backward_traversal(staged, inst, cache)
                 staged = consumption_operator(staged, inst, cache)

@@ -1,5 +1,10 @@
 """Benchmarking, exactness auditing, and the command-line interface.
 
+This module is not imported by the package root: reach ``run_benchmark``,
+``audit_instance``, ``mine_counterexamples`` and ``cli_main`` as
+``minwait.harness``, or run it as ``python -m minwait.harness``. The root
+``minwait`` holds the library these build on.
+
 The benchmark reruns the solver against branch and bound up to
 ``BNB_PROVEN_LIMIT`` jobs (runtime only above) and aggregates objective
 gaps; everything an audit needs to rerun a row bit-identically is derived
@@ -23,7 +28,7 @@ from .instances import (
     Instance,
     InstanceFormatError,
     Sequence,
-    derive_seed,
+    bench_instance,
     generate_instance,
     parse_instance,
     serialize_instance,
@@ -59,28 +64,24 @@ class BenchReport:
     rows: tuple[BenchRow, ...]
     environment: dict[str, str]
 
-    def to_dict(self, include_timing: bool = True) -> dict:
-        rows = []
-        for row in self.rows:
-            data = {
+    def to_dict(self) -> dict:
+        rows = [
+            {
                 "n": row.n,
                 "count": row.count,
                 "oracle_method": row.oracle_method,
                 "mean_gap_pct": row.mean_gap_pct,
                 "max_gap_pct": row.max_gap_pct,
                 "mismatches": row.mismatches,
+                "mean_solver_ms": row.mean_solver_ms,
+                "mean_oracle_ms": row.mean_oracle_ms,
             }
-            if include_timing:
-                data["mean_solver_ms"] = row.mean_solver_ms
-                data["mean_oracle_ms"] = row.mean_oracle_ms
-            rows.append(data)
-        out = {"seed": self.seed, "rows": rows}
-        if include_timing:
-            out["environment"] = dict(self.environment)
-        return out
+            for row in self.rows
+        ]
+        return {"seed": self.seed, "rows": rows, "environment": dict(self.environment)}
 
-    def to_json(self, include_timing: bool = True) -> str:
-        return json.dumps(self.to_dict(include_timing=include_timing), indent=2) + "\n"
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2) + "\n"
 
     def to_text(self) -> str:
         header = f"{'n':>4} {'count':>6} {'solver (s)':>11} {'oracle (s)':>11} {'method':>7} {'gap (%)':>8} {'max gap':>8} {'miss':>5}"
@@ -94,11 +95,6 @@ class BenchReport:
                 f"{oracle_s:>11} {row.oracle_method:>7} {gap:>8} {max_gap:>8} {row.mismatches:>5}"
             )
         return "\n".join(lines) + "\n"
-
-
-def bench_instance(seed: int, n: int, index: int) -> Instance:
-    """The index-th benchmark instance of size n for a report seed."""
-    return generate_instance(n, derive_seed(seed, n, index))
 
 
 def _oracle_for(n: int, method: str) -> str:
@@ -248,7 +244,7 @@ def mine_counterexamples(n: int, count: int, seed: int, solver=None) -> list[Cou
     """Hunt for instances the solver gets wrong, shrinking each find."""
     found: list[Counterexample] = []
     for index in range(count):
-        inst = generate_instance(n, derive_seed(seed, n, index))
+        inst = bench_instance(seed, n, index)
         case = audit_instance(inst, solver=solver)
         if case is not None:
             found.append(case)

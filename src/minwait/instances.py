@@ -169,6 +169,11 @@ def generate_instance(n: int, seed: int) -> Instance:
     return Instance(n=n, release=tuple(release), processing=tuple(processing))
 
 
+def bench_instance(seed: int, n: int, index: int) -> Instance:
+    """The index-th benchmark instance of size n for a report seed."""
+    return generate_instance(n, derive_seed(seed, n, index))
+
+
 def initial_sequence(inst: Instance) -> Sequence:
     """Jobs sorted by non-decreasing release, ties by processing then id."""
     order = sorted(range(1, inst.n + 1), key=lambda j: (inst.r(j), inst.p(j), j))

@@ -300,20 +300,16 @@ def branch_and_bound_optimum(
     )
 
 
-def auto_big_m(inst: Instance) -> int:
-    """Default big-M: max release plus total processing (a horizon bound)."""
-    return max(inst.release) + sum(inst.processing)
-
-
 def export_milp(inst: Instance, big_m: int | None = None) -> str:
     """Disjunctive big-M formulation as LP-format text.
 
     Variables: continuous S_i (start, bounded below by r_i) and w_i
     (waiting, w_i >= S_i - r_i); binary x_i_j for i < j, 1 when i precedes
-    j. Each unordered pair gets the two disjunctive constraints. Output is
-    deterministic, LF-terminated.
+    j. Each unordered pair gets the two disjunctive constraints. ``big_m``
+    defaults to max(release) + sum(processing), a horizon no start exceeds.
+    Output is deterministic, LF-terminated.
     """
-    m = auto_big_m(inst) if big_m is None else big_m
+    m = max(inst.release) + sum(inst.processing) if big_m is None else big_m
     lines = ["Minimize"]
     lines.append(" obj: " + " + ".join(f"w_{i}" for i in range(1, inst.n + 1)))
     lines.append("Subject To")

@@ -1,24 +1,31 @@
 """The two block rules behind the solver.
 
-A relocation splits the queue into an untouched prefix, a block whose waits
-drop (P_D) and a block whose waits rise (P_I). Each rule reworks one such
-block from three inputs: its jobs, its entry time (the completion of
-whatever precedes it) and the flow it receives from the rest of the queue:
+A relocation splits the queue sigma_t into an untouched prefix, a block whose
+waits drop (P_D) and a block whose waits rise (P_I). Each rule reworks one
+such block from three inputs: its jobs, its entry time (the completion of
+whatever precedes it) and the flow it receives from the rest of the queue.
 
-  * adjacent exchange, for P_I under an increasing flow: bubble longer
-    jobs backward whenever the swap strictly lowers the block's realized
-    cost;
-  * bottleneck breakthrough, for P_D under a decreasing flow: when a
-    low-wait position caps how far the flow carries, pull a later waiting
-    job in front of it if doing so strictly pays.
+In the paper's symbols, job i of a block waits w_i = r_0^o + p_0^o - r_i.
+At the block's head r_0^o + p_0^o is the entry time; further in it is
+C_{i-1}, and it restarts from r_i wherever w_i <= 0 makes job i a leader
+(``_block_waits``). A flow is a shift of r_0^o + p_0^o at the block's
+entry: a decreasing flow f_D lowers it by f_D, an increasing flow f_I
+raises it by f_I. Job i passes on min(f_D, max(0, w_i)) of a decreasing
+flow and max(0, f_I + min(0, w_i)) of an increasing one, so a flow carries
+unchanged through queued jobs and is cut or damped at leaders.
 
-Both return the reworked jobs and the change of the block's realized cost,
-and return the input block object itself when its order did not change.
-Placing the block back into a queue is the caller's job.
+  * adjacent exchange, for P_I under f_I: bubble longer jobs backward
+    whenever the swap strictly lowers the block's realized cost;
+  * bottleneck breakthrough, for P_D under f_D: a position whose wait is
+    below the remaining flow caps how far f_D carries (a bottleneck); pull
+    a later waiting job in front of it if doing so strictly pays.
 
-Flows are entry-time shifts, so "realized cost" of a block is just its
-truncated-wait total computed from the shifted entry; the rules' cost
-tests reduce to exact integer comparisons of those totals.
+A block's realized cost is the sum of max(0, w_i) over its jobs, computed
+from the shifted entry (entry - f_D, or entry + f_I), so the rules' cost
+tests are exact integer comparisons of those totals. Both rules return the
+reworked jobs and the change of the block's realized cost, and return the
+input block object itself when its order did not change. Placing the
+block back into a queue is the caller's job.
 """
 
 from __future__ import annotations

@@ -24,15 +24,12 @@ from minwait import (
     Instance,
     Sequence,
     apply_move,
-    audit_instance,
     backward_move_delta,
     backward_solution_set,
-    backward_traversal,
     bench_instance,
     branch_and_bound_optimum,
     brute_force_optimum,
     compute_profile,
-    consumption_operator,
     forward_move_delta,
     forward_solution_set,
     initial_sequence,
@@ -41,6 +38,8 @@ from minwait import (
     propagate_decrease,
     propagate_increase,
 )
+from minwait.driver import backward_traversal, consumption_operator
+from minwait.harness import audit_instance
 
 from _sim import perturbed_starts, simulate
 

@@ -8,14 +8,13 @@ import pytest
 from minwait import (
     Instance,
     Sequence,
-    backward_traversal,
     brute_force_optimum,
     compute_profile,
-    consumption_operator,
     generate_instance,
     initial_sequence,
     optimal_sort,
 )
+from minwait.driver import backward_traversal, consumption_operator
 
 from conftest import random_instance
 

@@ -11,19 +11,21 @@ import pytest
 import minwait
 from minwait import (
     Instance,
-    audit_instance,
     bench_instance,
     brute_force_optimum,
-    cli_main,
     compute_profile,
     generate_instance,
     initial_sequence,
-    mine_counterexamples,
     parse_instance,
-    run_benchmark,
     serialize_instance,
 )
-from minwait.harness import BNB_PROVEN_LIMIT
+from minwait.harness import (
+    BNB_PROVEN_LIMIT,
+    audit_instance,
+    cli_main,
+    mine_counterexamples,
+    run_benchmark,
+)
 
 from conftest import REFERENCE_TEXT
 
@@ -42,7 +44,12 @@ def test_bench_instances_are_reproducible():
 def test_benchmark_deterministic_content():
     first = run_benchmark([6, 7], count=3, seed=11)
     second = run_benchmark([6, 7], count=3, seed=11)
-    assert first.to_dict(include_timing=False) == second.to_dict(include_timing=False)
+    untimed = [
+        [{key: value for key, value in row.items() if not key.endswith("_ms")} for row in rows]
+        for rows in (first.to_dict()["rows"], second.to_dict()["rows"])
+    ]
+    assert first.seed == second.seed
+    assert untimed[0] == untimed[1]
     assert first.rows[0].oracle_method == "bnb"
     assert first.rows[0].mismatches == 0
     assert first.rows[0].mean_gap_pct == 0.0
@@ -161,7 +168,7 @@ def test_cli_runs_as_module(tmp_path):
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     args = ["gen", "--n", "5", "--seed", "1", "--out", str(out)]
     completed = subprocess.run(
-        [sys.executable, "-m", "minwait.harness", *args],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "minwait.harness", *args],
         cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
@@ -189,7 +196,8 @@ def test_cli_verify_match(tmp_path, capsys):
 
 def test_cli_verify_mismatch_exits_two(tmp_path, capsys, monkeypatch):
     import minwait.harness as harness_module
-    from minwait import SolveResult, Sequence
+    from minwait import Sequence
+    from minwait.driver import SolveResult
 
     def broken_solver(inst):
         seq = Sequence(order=tuple(range(1, inst.n + 1)))

@@ -15,10 +15,9 @@ from minwait import (
     backward_move_delta,
     compute_profile,
     forward_move_delta,
-    idle_adjustment,
     segment_profile,
 )
-from minwait.move_calculus import insertion_seed, relocation_handoff
+from minwait.move_calculus import idle_adjustment, insertion_seed, relocation_handoff
 
 from conftest import random_instance, random_sequence
 

@@ -10,16 +10,14 @@ from hypothesis import strategies as st
 from minwait import (
     Instance,
     Sequence,
-    auto_big_m,
     bench_instance,
     branch_and_bound_optimum,
     brute_force_optimum,
     compute_profile,
     export_milp,
     generate_instance,
-    srpt_waiting_bound,
 )
-from minwait.oracles import _srpt_bound
+from minwait.oracles import _srpt_bound, srpt_waiting_bound
 
 from conftest import random_instance
 
@@ -300,7 +298,6 @@ def test_export_counts_scale():
 
 
 def test_export_big_m(reference):
-    assert auto_big_m(reference) == 24 + 23 == 47
     text = export_milp(reference)
     assert " prec_1_2_a: S_1 - S_2 + 47 x_1_2 <= 42" in text
     explicit = export_milp(reference, big_m=500)

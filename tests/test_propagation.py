@@ -5,14 +5,13 @@ import random
 import pytest
 
 from minwait import (
-    DECREASE,
-    INCREASE,
     Sequence,
     compute_profile,
     objective_delta,
     propagate_decrease,
     propagate_increase,
 )
+from minwait.propagation import DECREASE, INCREASE
 
 from _sim import perturbed_starts, simulate
 from conftest import random_instance, random_sequence

@@ -30,8 +30,8 @@ from minwait import (
     compute_profile,
     forward_solution_set,
     optimal_sort,
-    segment_completion,
 )
+from minwait.timeline import segment_completion
 
 from test_golden import golden_instance
 
