@@ -36,7 +36,7 @@ validated ``Sequence`` of each pipeline; otherwise a ``Sequence`` is built
 only for an adopted incumbent and for each outer candidate handed to the
 consumption operator.
 
-One private cache lives for the duration of a solve and serves three kinds
+One private cache lives for the duration of a solve and serves four kinds
 of pure results, each keyed by exact integers so that a hit returns what a
 recomputation would:
   * the objective of an order, scored by an allocation-free replay;
@@ -47,15 +47,19 @@ recomputation would:
     The entry holds the reworked block and its idle shift, or a marker
     when the rule left the block as it was. A reworked block is checked to
     be a reordering of its jobs when it is computed, so a hit replays a
-    checked block.
-Inside one solve most rule calls and solution-set computations repeat
-exactly, because the nested searches revisit the same incumbents and the
-same blocks. The cache stops there on purpose: every pipeline still applies
-its move, computes its handoff and is scored, in the same order as without
-the cache, so the solve visits the same candidates, logs the same moves and
-runs the same number of pipelines. Memoizing whole pipeline inputs would
-skip pipelines and change those counts. The cache is dropped when the
-solve returns.
+    checked block;
+  * the candidate order of a pipeline, keyed by its direction, i, k and
+    the moved order. The move is invertible, so these determine the
+    incumbent, and with it everything the rework after the move reads.
+Inside one solve most pipelines, rule calls and solution-set computations
+repeat exactly, because the nested searches revisit the same incumbents
+and the same blocks. Every pipeline still applies its move and is scored,
+in the same order as without the cache, so the solve visits the same
+candidates, logs the same moves and evaluates the same number of
+pipelines; only the rework after the move (the handoff, the insertion
+seed and both rule calls) is replayed for a repeated
+(direction, i, k, moved order). The cache is dropped when the solve
+returns.
 """
 
 from __future__ import annotations
@@ -104,7 +108,7 @@ _UNCHANGED = object()
 
 
 class _SolveCache:
-    """Per-solve memo of objectives, solution spaces and block-rule results."""
+    """Per-solve memo of objectives, solution spaces, block-rule results and pipelines."""
 
     def __init__(self, inst: Instance) -> None:
         self.inst = inst
@@ -114,6 +118,8 @@ class _SolveCache:
         self._spaces: dict[tuple[str, tuple[int, ...]], tuple[tuple[int, ...], ...]] = {}
         # (rule, block jobs, entry_time, flow_in) -> (reworked block, idle shift), or _UNCHANGED
         self._blocks: dict[tuple[Callable, tuple[int, ...], int, int], object] = {}
+        # (direction, i, k, moved order) -> the pipeline's reworked candidate order
+        self._pipelines: dict[tuple[str, int, int, tuple[int, ...]], tuple[int, ...]] = {}
 
     def objective(self, order: tuple[int, ...]) -> int:
         cached = self._objectives.get(order)
@@ -201,6 +207,10 @@ def _forward_pipeline(
     """
     inst = cache.inst
     moved = apply_move(seq, i, k, FORWARD)
+    key = (FORWARD, i, k, moved.order)
+    reworked = cache._pipelines.get(key)
+    if reworked is not None:
+        return reworked
     flow_drop = inst.p(seq.job_at(i)) - min(0, profile.wait_at(i))
     reworked, shift = cache.rework(
         moved.order, i, k - 1, bottleneck_breakthrough, flow_drop, profile.completions[i - 1]
@@ -215,6 +225,7 @@ def _forward_pipeline(
             max(0, handoff + shift),
             profile.completions[k - 1],
         )
+    cache._pipelines[key] = reworked
     return reworked
 
 
@@ -229,6 +240,10 @@ def _backward_pipeline(
     """
     inst = cache.inst
     moved = apply_move(seq, i, k, BACKWARD)
+    key = (BACKWARD, i, k, moved.order)
+    reworked = cache._pipelines.get(key)
+    if reworked is not None:
+        return reworked
     seed = insertion_seed(profile, inst, i, k)
     block_entry = profile.completions[k - 2] if k >= 2 else profile.entry_time
     reworked, shift = cache.rework(moved.order, k + 1, i, adjacent_exchange, seed, block_entry)
@@ -242,6 +257,7 @@ def _backward_pipeline(
             handoff - shift,
             profile.completions[i - 1],
         )
+    cache._pipelines[key] = reworked
     return reworked
 
 

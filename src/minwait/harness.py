@@ -1,16 +1,19 @@
 """Benchmarking, exactness auditing, and the command-line interface.
 
 This module is not imported by the package root: reach ``run_benchmark``,
-``audit_instance``, ``mine_counterexamples`` and ``cli_main`` as
-``minwait.harness``, or run it as ``python -m minwait.harness``. The root
-``minwait`` holds the library these build on.
+``audit_instance``, ``mine_counterexamples``, ``improving_relocation`` and
+``cli_main`` as ``minwait.harness``, or run it as
+``python -m minwait.harness``. The root ``minwait`` holds the library these
+build on.
 
 The benchmark reruns the solver against branch and bound up to
 ``BNB_PROVEN_LIMIT`` jobs (runtime only above) and aggregates objective
 gaps; everything an audit needs to rerun a row bit-identically is derived
 from the report's seed. The miner hunts for instances where the solver
 misses the optimum branch and bound proves, and shrinks any find to local
-minimality, preserving the evidence as text artifacts.
+minimality, preserving the evidence as text artifacts. The local-optimality
+check needs no oracle, so it applies at any n: it looks for a single
+relocation that the closed-form move deltas say would improve an order.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .instances import (
     parse_instance,
     serialize_instance,
 )
+from .move_calculus import BACKWARD, FORWARD, backward_move_delta, forward_move_delta
 from .oracles import (
     BRUTE_FORCE_LIMIT,
     OracleResult,
@@ -257,6 +261,31 @@ def _mismatch(inst: Instance, solve) -> tuple[Instance, Sequence, int, OracleRes
     oracle = branch_and_bound_optimum(inst)
     if solver_obj > oracle.objective:
         return inst, solver_seq, solver_obj, oracle
+    return None
+
+
+def improving_relocation(
+    inst: Instance, order: tuple[int, ...]
+) -> tuple[str, int, int, int] | None:
+    """The first relocation that lowers the objective of ``order``, or None.
+
+    Scans forward moves (i ascending, then k), then backward moves, and
+    returns ``(direction, i, k, delta)`` for the first negative
+    ``delta_total``. The deltas are exact, so None means no single
+    relocation improves ``order``: the solver's local-optimality claim.
+    """
+    profile = compute_profile(inst, Sequence(order=order))
+    n = inst.n
+    for i in range(1, n + 1):
+        for k in range(i + 1, n + 1):
+            delta = forward_move_delta(profile, inst, i, k).delta_total
+            if delta < 0:
+                return FORWARD, i, k, delta
+    for i in range(2, n + 1):
+        for k in range(1, i):
+            delta = backward_move_delta(profile, inst, i, k).delta_total
+            if delta < 0:
+                return BACKWARD, i, k, delta
     return None
 
 

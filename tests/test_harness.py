@@ -7,15 +7,22 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import minwait
 from minwait import (
+    BACKWARD,
+    FORWARD,
     Instance,
+    Sequence,
+    apply_move,
     bench_instance,
     brute_force_optimum,
     compute_profile,
     generate_instance,
     initial_sequence,
+    optimal_sort,
     parse_instance,
     serialize_instance,
 )
@@ -23,6 +30,7 @@ from minwait.harness import (
     BNB_PROVEN_LIMIT,
     audit_instance,
     cli_main,
+    improving_relocation,
     mine_counterexamples,
     run_benchmark,
 )
@@ -120,6 +128,65 @@ def test_miner_past_brute_force_range():
 
 def test_miner_clean_on_real_solver():
     assert mine_counterexamples(6, 10, seed=5) == []
+
+
+@st.composite
+def regime_instances(draw, max_n: int = 12) -> Instance:
+    n = draw(st.integers(1, max_n))
+    processing = tuple(draw(st.lists(st.integers(1, 30), min_size=n, max_size=n)))
+    # crowded: arrivals within a third of the total work; idle-rich: over twice it
+    horizon = sum(processing) // 3 if draw(st.booleans()) else 2 * sum(processing)
+    release = tuple(draw(st.lists(st.integers(0, horizon), min_size=n, max_size=n)))
+    return Instance(n=n, release=release, processing=processing)
+
+
+def rescored_relocations(inst: Instance, order: tuple[int, ...]):
+    """Every relocation in improving_relocation's scan order, with its delta by rescoring."""
+    seq = Sequence(order=order)
+    before = compute_profile(inst, seq).objective
+    moves = [(FORWARD, i, k) for i in range(1, inst.n + 1) for k in range(i + 1, inst.n + 1)]
+    moves += [(BACKWARD, i, k) for i in range(2, inst.n + 1) for k in range(1, i)]
+    for direction, i, k in moves:
+        after = compute_profile(inst, apply_move(seq, i, k, direction)).objective
+        yield direction, i, k, after - before
+
+
+@given(regime_instances())
+@settings(max_examples=60, deadline=None)
+def test_solver_results_admit_no_improving_relocation(inst):
+    order = optimal_sort(inst).best_sequence.order
+    assert improving_relocation(inst, order) is None
+
+
+@given(regime_instances(max_n=9))
+@settings(max_examples=80, deadline=None)
+def test_improving_relocation_matches_rescoring(inst):
+    # release order reversed: a deliberately poor order that usually admits a move
+    order = tuple(sorted(range(1, inst.n + 1), key=lambda j: (inst.r(j), j), reverse=True))
+    first = next((move for move in rescored_relocations(inst, order) if move[3] < 0), None)
+    assert improving_relocation(inst, order) == first
+
+
+# input 643 of the benchmark's solve_dense workload at seed 12
+KNOWN_HOLE = Instance(
+    n=8,
+    release=(86, 101, 73, 70, 54, 128, 36, 34),
+    processing=(1, 25, 44, 42, 9, 5, 45, 15),
+)
+
+
+def test_improving_relocation_finds_the_known_hole():
+    # the solver's final order at 240; moving position 2 after position 4 reaches
+    # the proven optimum 233
+    order = (8, 5, 7, 1, 2, 6, 4, 3)
+    assert compute_profile(KNOWN_HOLE, Sequence(order=order)).objective == 240
+    assert improving_relocation(KNOWN_HOLE, order) == (FORWARD, 2, 4, -7)
+
+
+@pytest.mark.xfail(strict=True, reason="known hole: the forward set misses the improving move 2->4")
+def test_known_miss_admits_no_improving_relocation():
+    order = optimal_sort(KNOWN_HOLE).best_sequence.order
+    assert improving_relocation(KNOWN_HOLE, order) is None
 
 
 def test_cli_solve_json(tmp_path, capsys):

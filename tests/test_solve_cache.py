@@ -1,14 +1,15 @@
 """The driver's per-solve cache returns exactly what a recomputation would.
 
 A solve records, in one private cache, objectives by order, the solution
-space of each incumbent in each direction, and the result of each rule call
+space of each incumbent in each direction, the result of each rule call
 keyed by (rule, block jobs, entry time, flow in): the reworked block with
-its idle shift, or a marker for a block the rule left as it was. These
-tests audit every entry a few solves leave behind against a fresh
+its idle shift, or a marker for a block the rule left as it was, and the
+candidate order of each pipeline keyed by (direction, i, k, moved order).
+These tests audit every entry a few solves leave behind against a fresh
 computation, check that the cache splices a reworked block into its own
 positions only and rejects a rule output that is not a reordering of its
-block, and pin how many rule calls still reach ``minwait.rules`` on one
-golden instance.
+block, and pin how many rule calls still reach ``minwait.rules`` and how
+many pipelines are computed rather than replayed on one golden instance.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from minwait import (
     Instance,
     Sequence,
     adjacent_exchange,
+    apply_move,
     backward_solution_set,
     bottleneck_breakthrough,
     compute_profile,
@@ -41,6 +43,9 @@ UNCHANGED = minwait.driver._UNCHANGED
 # Rule calls that reach minwait.rules during one solve of the golden
 # instance ("generated", 8, 0); the rest are answered by the cache.
 RULE_CALLS = {"bottleneck_breakthrough": 291, "adjacent_exchange": 223}
+# Pipelines computed during that solve, one memo entry each; the other
+# 1,593 forward and 337 backward pipelines it evaluates are replayed.
+PIPELINE_ENTRIES = {FORWARD: 349, BACKWARD: 25}
 
 
 def regime_instance(rng: random.Random, n: int, crowded: bool) -> Instance:
@@ -89,12 +94,26 @@ def audit(cache) -> None:
         assert entry[1] == segment_completion(inst, block, realized) - segment_completion(
             inst, jobs, realized
         )
+    for (direction, i, k, moved), reworked in cache._pipelines.items():
+        # the inverse move recovers the incumbent the pipeline started from
+        inverse = BACKWARD if direction == FORWARD else FORWARD
+        incumbent = apply_move(Sequence(order=moved), k, i, inverse)
+        assert apply_move(incumbent, i, k, direction).order == moved
+        pipeline = (
+            minwait.driver._forward_pipeline
+            if direction == FORWARD
+            else minwait.driver._backward_pipeline
+        )
+        fresh = SolveCache(inst)
+        profile = compute_profile(inst, incumbent)
+        assert pipeline(fresh, incumbent, profile, i, k) == reworked
 
 
 @pytest.mark.parametrize("crowded", [True, False], ids=["crowded", "idle-rich"])
 def test_every_cache_entry_matches_a_fresh_computation(monkeypatch, crowded):
     rng = random.Random(71 if crowded else 72)
     entries = 0
+    directions = set()
     shifts = {adjacent_exchange: set(), bottleneck_breakthrough: set()}
     for n in (6, 7, 7, 8):
         (cache,) = solve_keeping_caches(monkeypatch, regime_instance(rng, n, crowded))
@@ -102,10 +121,12 @@ def test_every_cache_entry_matches_a_fresh_computation(monkeypatch, crowded):
         assert {direction for direction, _ in cache._spaces} == {FORWARD, BACKWARD}
         assert cache._blocks
         entries += len(cache._blocks)
+        directions.update(direction for direction, *_ in cache._pipelines)
         for (rule, *_), entry in cache._blocks.items():
             if entry is not UNCHANGED:
                 shifts[rule].add(entry[1])
     assert entries >= 100
+    assert directions == {FORWARD, BACKWARD}
     # the audit saw nonzero shifts from both rules, not only zeros
     assert all(values - {0} for values in shifts.values())
 
@@ -161,3 +182,11 @@ def test_rule_calls_reaching_rules(monkeypatch):
         monkeypatch.setattr(minwait.driver, name, counting)
     optimal_sort(golden_instance("generated", 8, 0))
     assert calls == RULE_CALLS
+
+
+def test_pipelines_computed_once(monkeypatch):
+    (cache,) = solve_keeping_caches(monkeypatch, golden_instance("generated", 8, 0))
+    entries = dict.fromkeys(PIPELINE_ENTRIES, 0)
+    for direction, *_ in cache._pipelines:
+        entries[direction] += 1
+    assert entries == PIPELINE_ENTRIES
